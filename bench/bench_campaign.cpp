@@ -78,22 +78,31 @@ int run_fleet_mode(std::uint64_t seed, int replicas, int jitter_pct, int workers
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_campaign [--injections=N] [-jN|--workers=N] "
+               "[--iterations=N] [--seed=S] [--profiles=a,b] [--supervised] "
+               "[--check-invariants] [--json] [--fleet [--replicas=N] [--jitter=PCT]]\n"
+               "--injections (SG_CAMPAIGN_INJECTIONS) must be >= 0, --replicas >= 1\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   sg::campaign::Config config;
   config.master_seed = static_cast<std::uint64_t>(sg::bench::env_int("SG_SEED", 2016));
-  config.injections_per_cell =
-      static_cast<std::uint64_t>(sg::bench::env_int("SG_CAMPAIGN_INJECTIONS", 200));
   config.workers = sg::bench::env_int("SG_WORKERS", 1);
   bool fleet = false;
   bool json = false;
-  int replicas = 3;
+  long long injections = 200;
+  long long replicas = 3;
   int jitter_pct = 25;
+  if (!sg::bench::env_count("SG_CAMPAIGN_INJECTIONS", 0, &injections)) return usage();
 
   for (int arg = 1; arg < argc; ++arg) {
     if (std::strncmp(argv[arg], "--injections=", 13) == 0) {
-      config.injections_per_cell = static_cast<std::uint64_t>(arg_ll(argv[arg] + 13));
+      if (!sg::bench::parse_count(argv[arg] + 13, 0, &injections)) return usage();
     } else if (std::strncmp(argv[arg], "--workers=", 10) == 0) {
       config.workers = static_cast<int>(arg_ll(argv[arg] + 10));
     } else if (std::strncmp(argv[arg], "-j", 2) == 0 && argv[arg][2] != '\0') {
@@ -105,7 +114,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[arg], "--profiles=", 11) == 0) {
       if (!parse_profiles(argv[arg] + 11, config.profiles)) return 2;
     } else if (std::strncmp(argv[arg], "--replicas=", 11) == 0) {
-      replicas = static_cast<int>(arg_ll(argv[arg] + 11));
+      if (!sg::bench::parse_count(argv[arg] + 11, 1, &replicas)) return usage();
     } else if (std::strncmp(argv[arg], "--jitter=", 9) == 0) {
       jitter_pct = static_cast<int>(arg_ll(argv[arg] + 9));
     } else if (std::strcmp(argv[arg], "--check-invariants") == 0) {
@@ -121,15 +130,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[arg], "--json") == 0) {
       json = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_campaign [--injections=N] [-jN|--workers=N] "
-                   "[--iterations=N] [--seed=S] [--profiles=a,b] [--supervised] "
-                   "[--check-invariants] [--json] [--fleet [--replicas=N] [--jitter=PCT]]\n");
-      return 2;
+      return usage();
     }
   }
+  config.injections_per_cell = static_cast<std::uint64_t>(injections);
 
-  if (fleet) return run_fleet_mode(config.master_seed, replicas, jitter_pct, config.workers);
+  if (fleet) {
+    return run_fleet_mode(config.master_seed, static_cast<int>(replicas), jitter_pct,
+                          config.workers);
+  }
 
   sg::bench::banner("Sharded SWIFI campaign under virtual time",
                     "Table II at distribution scale; docs/CAMPAIGNS.md");

@@ -1,21 +1,41 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 namespace sg::bench {
 
 /// Reads an integer knob from the environment (used to scale bench runs:
-/// SG_INJECTIONS, SG_REQUESTS, SG_REPS, ...).
+/// SG_REQUESTS, SG_REPS, ...).
 inline int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);
   return value != nullptr ? std::atoi(value) : fallback;
+}
+
+/// Parses a whole decimal count of at least `min` into `*out`. Junk, overflow
+/// and values below `min` are rejected, so a bad count becomes a usage error
+/// instead of wrapping into an endless unsigned run.
+inline bool parse_count(const char* text, long long min, long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || value < min) return false;
+  *out = value;
+  return true;
+}
+
+/// parse_count over the environment variable `name`; unset leaves `*out`.
+inline bool env_count(const char* name, long long min, long long* out) {
+  const char* value = std::getenv(name);
+  return value == nullptr || parse_count(value, min, out);
 }
 
 /// Wall-clock microseconds of `fn()`.
@@ -92,7 +112,7 @@ inline std::string host_meta_json(int workers = 0) {
   const char* sg_cores = std::getenv("SG_CORES");
   std::string out = "\"host\": {";
   out += "\"hardware_concurrency\": " +
-         json_num(static_cast<double>(std::thread::hardware_concurrency()));
+         json_num(static_cast<double>(sysconf(_SC_NPROCESSORS_ONLN)));
   out += ", \"sg_cores\": " +
          json_num(sg_cores != nullptr ? std::atof(sg_cores) : 0.0);
   out += ", \"workers\": " + json_num(static_cast<double>(workers));

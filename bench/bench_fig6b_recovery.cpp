@@ -15,8 +15,8 @@
 #include "c3/mechanism.hpp"
 #include "c3/storage.hpp"
 #include "c3stubs/c3_stubs.hpp"
-#include "components/specs.hpp"
 #include "components/system.hpp"
+#include "idl/gen_api.hpp"
 #include "util/stats.hpp"
 
 namespace sg {
@@ -123,9 +123,9 @@ int main() {
     sg::c3::InterfaceSpec (*spec)();
   };
   static const Row kRows[] = {
-      {"sched", "Sched", &sg::components::sched_spec}, {"mman", "MM", &sg::components::mman_spec},
-      {"ramfs", "FS", &sg::components::ramfs_spec},    {"lock", "Lock", &sg::components::lock_spec},
-      {"evt", "Event", &sg::components::evt_spec},     {"tmr", "Timer", &sg::components::tmr_spec}};
+      {"sched", "Sched", &sg::gen::make_sched_spec}, {"mman", "MM", &sg::gen::make_mman_spec},
+      {"ramfs", "FS", &sg::gen::make_ramfs_spec},    {"lock", "Lock", &sg::gen::make_lock_spec},
+      {"evt", "Event", &sg::gen::make_evt_spec},     {"tmr", "Timer", &sg::gen::make_tmr_spec}};
   auto summarize = [](const std::vector<double>& samples) {
     double mean = 0;
     double stdev = 0;

@@ -8,8 +8,8 @@
 
 #include "c3/interface_spec.hpp"
 #include "c3/storage.hpp"
-#include "components/specs.hpp"
 #include "components/system.hpp"
+#include "idl/gen_api.hpp"
 #include "kernel/booter.hpp"
 #include "trace/trace.hpp"
 
@@ -131,7 +131,7 @@ BENCHMARK(BM_DescriptorRecovery);
 // (the old per-call path) vs. interned-id (the new one).
 
 void BM_FnLookupString(benchmark::State& state) {
-  const c3::InterfaceSpec spec = components::ramfs_spec();
+  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
   const c3::CompiledRuntime& rt = spec.compiled();
   static const char* kNames[] = {"tsplit", "tread", "twrite", "tlseek", "trelease"};
   std::size_t i = 0;
@@ -143,7 +143,7 @@ void BM_FnLookupString(benchmark::State& state) {
 BENCHMARK(BM_FnLookupString);
 
 void BM_FnLookupInterned(benchmark::State& state) {
-  const c3::InterfaceSpec spec = components::ramfs_spec();
+  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
   const c3::CompiledRuntime& rt = spec.compiled();
   const c3::FnId ids[] = {rt.fn_id("tsplit"), rt.fn_id("tread"), rt.fn_id("twrite"),
                           rt.fn_id("tlseek"), rt.fn_id("trelease")};
@@ -156,7 +156,7 @@ void BM_FnLookupInterned(benchmark::State& state) {
 BENCHMARK(BM_FnLookupInterned);
 
 void BM_SigmaTransitionString(benchmark::State& state) {
-  const c3::InterfaceSpec spec = components::ramfs_spec();
+  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
   const std::string open_state = spec.sm.state_of_fn("tread");
   for (auto _ : state) {
     benchmark::DoNotOptimize(spec.sm.valid(open_state, "twrite"));
@@ -166,7 +166,7 @@ void BM_SigmaTransitionString(benchmark::State& state) {
 BENCHMARK(BM_SigmaTransitionString);
 
 void BM_SigmaTransitionInterned(benchmark::State& state) {
-  const c3::InterfaceSpec spec = components::ramfs_spec();
+  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
   const c3::CompiledRuntime& rt = spec.compiled();
   const c3::FnId twrite = rt.fn_id("twrite");
   const c3::StateId open_state = rt.fn(rt.fn_id("tread")).next_state;

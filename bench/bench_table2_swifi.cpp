@@ -3,7 +3,10 @@
 // Injects SG_INJECTIONS (default 500, as in the paper) single-bit register
 // flips per system component while that component's §V-B workload runs, and
 // classifies every injection: recovered / segfault / propagated / other /
-// undetected. Prints our Table II next to the paper's reference numbers.
+// undetected. The run is a campaign::run over the six components plus the
+// storage substrate (seeds from swifi::episode_seed, so -jN never changes a
+// count); it prints our Table II, with Wilson 95% intervals on the
+// activation ratio and recovery rate, next to the paper's reference numbers.
 
 // With --mode=crash-loop | burst | fault-in-recovery | independent-burst it
 // instead runs the corresponding supervised stress campaign (correlated
@@ -14,16 +17,15 @@
 // recovery-overlap and partial-availability stats to
 // BENCH_table2_domains.json.
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "campaign/campaign.hpp"
 #include "components/trace_check.hpp"
 #include "swifi/stress.hpp"
 #include "swifi/swifi.hpp"
@@ -102,33 +104,10 @@ static int run_stress_mode(sg::swifi::StressMode mode, const std::string& trace_
   return ok ? 0 : 1;
 }
 
-/// `--json` artifact: the full per-component outcome distribution, so CI can
-/// diff campaign results (including the Degraded column) across revisions.
-static std::string table2_json(const std::vector<sg::swifi::CampaignRow>& rows, int injections,
-                               std::uint64_t seed) {
-  std::string json_rows;
-  for (const auto& row : rows) {
-    if (!json_rows.empty()) json_rows += ",\n";
-    json_rows += "    {\"component\": " + sg::bench::json_str(row.component) +
-                 ", \"injected\": " + std::to_string(row.injected) +
-                 ", \"recovered\": " + std::to_string(row.recovered) +
-                 ", \"degraded\": " + std::to_string(row.degraded) +
-                 ", \"segfault\": " + std::to_string(row.segfault) +
-                 ", \"propagated\": " + std::to_string(row.propagated) +
-                 ", \"other\": " + std::to_string(row.other) +
-                 ", \"undetected\": " + std::to_string(row.undetected) +
-                 ", \"activation_ratio\": " + sg::bench::json_num(row.activation_ratio()) +
-                 ", \"success_rate\": " + sg::bench::json_num(row.success_rate()) + "}";
-  }
-  return "{\n  \"bench\": \"table2_swifi\",\n  \"injections\": " + std::to_string(injections) +
-         ",\n  \"seed\": " + std::to_string(seed) + ",\n  \"components\": [\n" + json_rows +
-         "\n  ]\n}";
-}
-
 /// --multicore[=N]: the in-process multi-core mode (docs/KERNEL.md).
 ///
 /// Two measurements land in BENCH_table2_multicore.json:
-///  1. Sharded episode throughput: the same seeded fail-stop episodes run
+///  1. Sharded episode throughput: the same seeded fail-stop campaign runs
 ///     once on 1 worker and once on N workers (whole Systems per worker,
 ///     cores=1 inside each — the determinism-preserving parallelism), giving
 ///     the campaign speedup.
@@ -136,63 +115,42 @@ static std::string table2_json(const std::vector<sg::swifi::CampaignRow>& rows, 
 ///     three workloads in independent components while an injector crash-
 ///     loops a fourth; invocations keep completing on other cores during
 ///     recovery, and the trace-invariant checker must stay clean.
-static int run_multicore_mode(int cores, bool emit_json) {
+static int run_multicore_mode(int cores, long long requested_episodes, bool emit_json) {
   sg::bench::banner("In-process multi-core mode: sharded episode throughput + "
                     "availability under concurrent recovery",
                     "the multi-core kernel refactor; not in the paper");
   const std::uint64_t seed = static_cast<std::uint64_t>(sg::bench::env_int("SG_SEED", 2016));
-  const int episodes = sg::bench::env_int("SG_MC_EPISODES", 240);
-  const std::vector<std::string> services = {"sched", "mman", "ramfs", "lock", "evt", "tmr"};
-
-  sg::swifi::CampaignConfig config;
-  config.seed = seed;
-  const sg::swifi::Campaign campaign(config);
-
-  sg::swifi::EpisodeOptions opts;
-  opts.profile = sg::swifi::InjectionProfile::kFailStop;
-  opts.workload_iterations = 40;
-  opts.check_invariants = true;
 
   // --- 1. sharded episode throughput: 1 worker vs N workers ---------------
-  std::atomic<long long> violations{0};
-  std::atomic<long long> recovered{0};
-  auto run_sharded = [&](int workers) -> double {
-    std::atomic<int> next{0};
-    auto pull = [&] {
-      for (;;) {
-        const int idx = next.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= episodes) return;
-        const std::string& service = services[static_cast<std::size_t>(idx) % services.size()];
-        const std::uint64_t ep_seed = sg::swifi::episode_seed(
-            seed, "multicore/" + service, static_cast<std::uint64_t>(idx));
-        const auto result = campaign.run_episode_detail(service, ep_seed, opts);
-        violations.fetch_add(result.invariant_violations, std::memory_order_relaxed);
-        if (result.outcome == sg::swifi::Outcome::kRecovered) {
-          recovered.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    };
-    return sg::bench::time_us([&] {
-      std::vector<std::thread> pool;
-      for (int w = 1; w < workers; ++w) pool.emplace_back(pull);
-      pull();
-      for (auto& t : pool) t.join();
-    });
-  };
-
-  const double wall_1 = run_sharded(1);
-  const long long recovered_1 = recovered.exchange(0);
-  const double wall_n = run_sharded(cores);
-  const long long recovered_n = recovered.exchange(0);
+  // SG_MC_EPISODES fail-stop episodes, split evenly over the six services.
+  sg::campaign::Config config;
+  config.master_seed = seed;
+  config.services = {"sched", "mman", "ramfs", "lock", "evt", "tmr"};
+  config.profiles = {sg::swifi::InjectionProfile::kFailStop};
+  config.injections_per_cell =
+      static_cast<std::uint64_t>(requested_episodes) / config.services.size();
+  config.workload_iterations = 40;
+  config.check_invariants = true;
+  sg::campaign::Result solo;
+  sg::campaign::Result sharded;
+  config.workers = 1;
+  const double wall_1 = sg::bench::time_us([&] { solo = sg::campaign::run(config); });
+  config.workers = cores;
+  const double wall_n = sg::bench::time_us([&] { sharded = sg::campaign::run(config); });
+  const long long episodes = static_cast<long long>(solo.episodes());
+  const long long recovered_1 = static_cast<long long>(solo.total.recovered);
+  const long long recovered_n = static_cast<long long>(sharded.total.recovered);
+  const long long violations = static_cast<long long>(solo.total.invariant_violations +
+                                                      sharded.total.invariant_violations);
   const double eps_1 = episodes / (wall_1 / 1e6);
   const double eps_n = episodes / (wall_n / 1e6);
   const double speedup = wall_n > 0 ? wall_1 / wall_n : 0.0;
-  std::printf("episode throughput: %d episodes, %.1f eps/s on 1 worker, %.1f eps/s on %d "
+  std::printf("episode throughput: %lld episodes, %.1f eps/s on 1 worker, %.1f eps/s on %d "
               "workers (speedup %.2fx)\n",
               episodes, eps_1, eps_n, cores, speedup);
   std::printf("recovered: %lld (1 worker) vs %lld (%d workers) -- must match; "
               "invariant violations: %lld\n",
-              recovered_1, recovered_n, cores, static_cast<long long>(violations.load()));
+              recovered_1, recovered_n, cores, violations);
 
   // --- 2. availability under concurrent recovery (one System, cores=N) ----
   sg::components::SystemConfig sys_config;
@@ -265,7 +223,7 @@ static int run_multicore_mode(int cores, bool emit_json) {
             ", \"speedup\": " + sg::bench::json_num(speedup) +
             ", \"recovered_1\": " + std::to_string(recovered_1) +
             ", \"recovered_n\": " + std::to_string(recovered_n) +
-            ", \"invariant_violations\": " + std::to_string(violations.load()) + "},\n";
+            ", \"invariant_violations\": " + std::to_string(violations) + "},\n";
     body += "  \"concurrent_recovery\": {\"iterations\": " + std::to_string(iterations) +
             ", \"reboots\": " + std::to_string(kern.total_reboots()) +
             ", \"max_concurrent\": " + std::to_string(kern.max_concurrent_running()) +
@@ -275,7 +233,7 @@ static int run_multicore_mode(int cores, bool emit_json) {
     sg::bench::write_json_file("BENCH_table2_multicore.json", body);
   }
 
-  const bool ok = correct && concurrent_violations == 0 && violations.load() == 0 &&
+  const bool ok = correct && concurrent_violations == 0 && violations == 0 &&
                   recovered_1 == recovered_n;
   return ok ? 0 : 1;
 }
@@ -284,8 +242,8 @@ int main(int argc, char** argv) {
   std::string trace_file;
   bool stress = false;
   // Worker-thread sharding (-jN / SG_WORKERS). Per-episode seeds are pure
-  // functions of (SG_SEED, episode index), never of the shard layout, so any
-  // worker count reproduces the single-threaded table exactly.
+  // functions of (SG_SEED, cell, episode index), never of the shard layout,
+  // so any worker count reproduces the single-threaded table exactly.
   int workers = sg::bench::env_int("SG_WORKERS", 1);
   bool multicore = false;
   int mc_cores = std::max(2, sg::bench::env_int("SG_CORES", 4));
@@ -314,34 +272,47 @@ int main(int argc, char** argv) {
       stress = true;
     }
   }
-  if (multicore) return run_multicore_mode(mc_cores, sg::bench::has_flag(argc, argv, "--json"));
-  if (stress) return run_stress_mode(mode, trace_file, sg::bench::has_flag(argc, argv, "--json"));
+  long long injections = 500;
+  long long mc_episodes = 240;
+  if (!sg::bench::env_count("SG_INJECTIONS", 0, &injections) ||
+      !sg::bench::env_count("SG_MC_EPISODES", 0, &mc_episodes)) {
+    std::fprintf(stderr,
+                 "usage: bench_table2_swifi [-jN|--workers=N] [--json] [--trace=FILE] "
+                 "[--multicore[=N]] [--mode=M]\n"
+                 "SG_INJECTIONS and SG_MC_EPISODES must be whole numbers >= 0\n");
+    return 2;
+  }
+  const bool json = sg::bench::has_flag(argc, argv, "--json");
+  if (multicore) return run_multicore_mode(mc_cores, mc_episodes, json);
+  if (stress) return run_stress_mode(mode, trace_file, json);
 
   sg::bench::banner("SWIFI fault-injection campaign over the six system components",
                     "Table II of the paper");
-  sg::swifi::CampaignConfig config;
-  config.injections = sg::bench::env_int("SG_INJECTIONS", 500);
-  config.seed = static_cast<std::uint64_t>(sg::bench::env_int("SG_SEED", 2016));
-  std::printf("injections per component: %d (override with SG_INJECTIONS), workers: %d\n"
+  sg::campaign::Config config;
+  config.master_seed = static_cast<std::uint64_t>(sg::bench::env_int("SG_SEED", 2016));
+  config.injections_per_cell = static_cast<std::uint64_t>(injections);
+  config.workload_iterations = 0;  // The paper's 400-iteration workloads.
+  config.workers = workers;
+  std::printf("injections per component: %lld (override with SG_INJECTIONS), workers: %d\n"
               "fault model: single-bit flips, mask 0xFFFFFFFF, over EAX..EDI+ESP+EBP,\n"
               "landing while a thread executes inside the target component (Sec V-A).\n\n",
-              config.injections, workers);
+              injections, workers);
 
-  sg::swifi::Campaign campaign(config);
-  const auto rows = campaign.run_all(workers);
+  const sg::campaign::Result result = sg::campaign::run(config);
   std::printf("measured (COMPOSITE + SuperGlue):\n%s\n",
-              sg::swifi::format_table2(rows).c_str());
-  if (sg::bench::has_flag(argc, argv, "--json")) {
+              sg::campaign::format_table(result).c_str());
+  if (json) {
     sg::bench::write_json_file(
         "BENCH_table2.json",
-        sg::bench::with_host_meta(table2_json(rows, config.injections, config.seed), workers));
+        sg::bench::with_host_meta(sg::campaign::to_json(config, result), workers));
   }
 
   if (!trace_file.empty()) {
     // The full campaign boots thousands of fresh systems; exporting one
     // representative traced episode keeps the file loadable. Episode 0
     // against the lock service recovers a single injected flip end-to-end.
-    auto traced_config = config;
+    sg::swifi::CampaignConfig traced_config;
+    traced_config.seed = config.master_seed;
     traced_config.trace = true;
     sg::swifi::EpisodeTrace episode;
     sg::swifi::Campaign(traced_config).run_episode("lock", 0, &episode);
@@ -354,11 +325,9 @@ int main(int argc, char** argv) {
   if (sg::bench::env_int("SG_COMPARE_C3", 0) != 0) {
     // The same campaign over the hand-written C3 stubs: recovery rates must
     // come out equivalent (SuperGlue replaces the code, not the semantics).
-    auto c3_config = config;
-    c3_config.mode = sg::components::FtMode::kC3;
-    sg::swifi::Campaign c3_campaign(c3_config);
+    config.mode = sg::components::FtMode::kC3;
     std::printf("measured (COMPOSITE + C3, hand-written stubs; SG_COMPARE_C3=1):\n%s\n",
-                sg::swifi::format_table2(c3_campaign.run_all()).c_str());
+                sg::campaign::format_table(sg::campaign::run(config)).c_str());
   }
 
   std::printf("paper's Table II for reference (500 injections each):\n");

@@ -146,6 +146,15 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       if (kernel_.fault_epoch(server_) != last_epoch_) fault_update();
       continue;
     }
+    // A foreign descriptor's EINVAL is stale the same way: at cores>1 the
+    // server can reboot again between its G0 upcall and the replay, which
+    // then runs against a fresh incarnation without the rebuilt descriptor.
+    if (res.ret == kernel::kErrInval && desc == nullptr && fn.desc_idx >= 0 &&
+        spec_.desc_is_global && kernel_.fault_epoch(server_) != wire_epoch) {
+      ++stats_.redos;
+      fault_update();
+      continue;
+    }
 
     // --- post-invocation tracking ------------------------------------------
     track_result(fn_id, fn, args, res.ret, pre_seq);

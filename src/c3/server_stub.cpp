@@ -45,7 +45,9 @@ ServerStub::ServerStub(kernel::Kernel& kernel, kernel::Component& server,
         record_found = true;
         SG_DEBUG("sstub", spec_.service << "." << fn_name << ": G0 recreate of desc " << desc_id
                                         << " via comp " << record->creator);
-        const auto up = kernel_.upcall(server_.id(), record->creator,
+        // U0: the upcall is an invocation flowing "downhill", mediated and
+        // fault-vectored like any other.
+        const auto up = kernel_.invoke(server_.id(), record->creator,
                                        ClientStub::recreate_fn_name(spec_.service), {desc_id});
         if (!up.fault && up.ret == kernel::kOk) recreated = true;
       }

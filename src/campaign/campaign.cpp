@@ -1,11 +1,10 @@
 #include "campaign/campaign.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <sstream>
-#include <thread>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace sg::campaign {
 
@@ -88,7 +87,7 @@ Result run(const Config& config) {
   swifi_config.seed = config.master_seed;
   swifi_config.mode = config.mode;
   swifi_config.policy = config.policy;
-  const swifi::Campaign driver(swifi_config);
+  const swifi::Campaign episodes(swifi_config);
 
   swifi::EpisodeOptions options;
   options.workload_iterations = config.workload_iterations;
@@ -96,36 +95,22 @@ Result run(const Config& config) {
   options.supervision = config.supervision;
 
   const std::uint64_t per_cell = config.injections_per_cell;
-  const std::uint64_t total_work = cells.size() * per_cell;
   const int workers = std::max(1, config.workers);
 
-  // Shard by atomic work index. Worker w accumulates into its own tally row;
-  // because episode seeds depend only on (master, cell, episode index), the
-  // merged result is identical for every worker count and pull order.
-  std::atomic<std::uint64_t> next{0};
+  // Worker w accumulates into its own tally row; because episode seeds depend
+  // only on (master, cell, episode index), the merged result is identical for
+  // every worker count and pull order.
   std::vector<std::vector<Tally>> partial(
       static_cast<std::size_t>(workers), std::vector<Tally>(cells.size()));
-  auto drain = [&](int worker) {
-    std::vector<Tally>& mine = partial[static_cast<std::size_t>(worker)];
-    for (std::uint64_t item = next.fetch_add(1); item < total_work; item = next.fetch_add(1)) {
-      const std::size_t cell_index = static_cast<std::size_t>(item / per_cell);
-      const std::uint64_t episode = item % per_cell;
-      const Cell& cell = cells[cell_index];
-      swifi::EpisodeOptions episode_options = options;
-      episode_options.profile = cell.profile;
-      const std::uint64_t seed =
-          swifi::episode_seed(config.master_seed, cell.tag, episode);
-      mine[cell_index].add(driver.run_episode_detail(cell.service, seed, episode_options));
-    }
-  };
-  if (workers == 1) {
-    drain(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(drain, w);
-    for (std::thread& thread : pool) thread.join();
-  }
+  parallel_for(cells.size() * per_cell, workers, [&](int worker, std::size_t item) {
+    const std::size_t cell_index = item / per_cell;
+    const Cell& cell = cells[cell_index];
+    swifi::EpisodeOptions episode_options = options;
+    episode_options.profile = cell.profile;
+    const std::uint64_t seed = swifi::episode_seed(config.master_seed, cell.tag, item % per_cell);
+    partial[static_cast<std::size_t>(worker)][cell_index].add(
+        episodes.run_episode_detail(cell.service, seed, episode_options));
+  });
 
   Result result;
   result.cells.reserve(cells.size());
@@ -218,33 +203,27 @@ std::string format_table(const Result& result) {
   TextTable table;
   table.add_row({"Cell", "Injected", "Recovered", "Degraded", "Undetected", "Segfault",
                  "Propagated", "Hang", "Quarantined", "Other", "Violations",
-                 "Recovery rate [95% CI]"});
-  auto ci_cell = [](const Tally& tally) {
-    const Interval ci = tally.recovery_ci();
-    const double rate = tally.activated() == 0
-                            ? 0.0
-                            : static_cast<double>(tally.recovered) /
-                                  static_cast<double>(tally.activated());
+                 "Activation [95% CI]", "Recovery rate [95% CI]"});
+  auto rate = [](std::uint64_t hits, std::uint64_t trials) {
+    const Interval ci = wilson_interval(hits, trials);
+    const double value =
+        trials == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(trials);
     char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.4f [%.4f, %.4f]", rate, ci.lo, ci.hi);
+    std::snprintf(buffer, sizeof buffer, "%.4f [%.4f, %.4f]", value, ci.lo, ci.hi);
     return std::string(buffer);
   };
+  auto add_row = [&](const std::string& label, const Tally& t) {
+    table.add_row({label, std::to_string(t.injected), std::to_string(t.recovered),
+                   std::to_string(t.degraded), std::to_string(t.undetected),
+                   std::to_string(t.segfault), std::to_string(t.propagated),
+                   std::to_string(t.hang), std::to_string(t.quarantined),
+                   std::to_string(t.other), std::to_string(t.invariant_violations),
+                   rate(t.activated(), t.injected), rate(t.recovered, t.activated())});
+  };
   for (const CellResult& cell : result.cells) {
-    const Tally& t = cell.tally;
-    table.add_row({cell_tag(cell.service, cell.profile), std::to_string(t.injected),
-                   std::to_string(t.recovered), std::to_string(t.degraded),
-                   std::to_string(t.undetected), std::to_string(t.segfault),
-                   std::to_string(t.propagated), std::to_string(t.hang),
-                   std::to_string(t.quarantined), std::to_string(t.other),
-                   std::to_string(t.invariant_violations), ci_cell(t)});
+    add_row(cell_tag(cell.service, cell.profile), cell.tally);
   }
-  const Tally& total = result.total;
-  table.add_row({"TOTAL", std::to_string(total.injected), std::to_string(total.recovered),
-                 std::to_string(total.degraded), std::to_string(total.undetected),
-                 std::to_string(total.segfault), std::to_string(total.propagated),
-                 std::to_string(total.hang), std::to_string(total.quarantined),
-                 std::to_string(total.other), std::to_string(total.invariant_violations),
-                 ci_cell(total)});
+  add_row("TOTAL", result.total);
   return table.render();
 }
 

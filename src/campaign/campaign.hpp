@@ -15,17 +15,18 @@ namespace sg::campaign {
 /// (target service x injection profile); every cell gets
 /// `injections_per_cell` episodes, each on a fresh System under virtual
 /// time. Episode seeds are pure functions of (master_seed, cell, episode),
-/// so results are identical for every worker count and work-stealing order.
+/// so results are identical for every worker count and pull order.
 struct Config {
   std::uint64_t master_seed = 2016;
   std::uint64_t injections_per_cell = 200;
   /// Shard episodes across this many host threads (each runs disjoint
   /// Systems; the simulated machines never share mutable state).
   int workers = 1;
-  /// Workload iterations per episode. Campaign episodes are deliberately
-  /// shorter than the 400-iteration Table II runs: injection timing scales
-  /// with this, and a ~5x shorter episode makes million-injection campaigns
-  /// CI-feasible without changing the outcome distribution's shape.
+  /// Workload iterations per episode; 0 runs the 400-iteration workloads of
+  /// Table II. Campaign episodes are deliberately shorter by default:
+  /// injection timing scales with this, and a ~5x shorter episode makes
+  /// million-injection campaigns CI-feasible without changing the outcome
+  /// distribution's shape.
   int workload_iterations = 80;
   /// Trace every episode and run the recovery-invariant checker on its
   /// event stream; violations are tallied per cell (and should be zero).
@@ -85,8 +86,9 @@ struct Result {
 /// swifi::episode_seed).
 std::string cell_tag(const std::string& service, swifi::InjectionProfile profile);
 
-/// Runs the campaign. Deterministic for a given Config modulo `workers`
-/// (which only changes wall time, never results).
+/// Runs the campaign on sg::parallel_for. Deterministic for a given Config
+/// modulo `workers` (which only changes wall time, never results); an
+/// exception from any episode is rethrown once every worker has stopped.
 Result run(const Config& config);
 
 /// Canonical JSON for BENCH_table2_campaign.json: byte-identical across
@@ -94,7 +96,8 @@ Result run(const Config& config);
 /// cell order).
 std::string to_json(const Config& config, const Result& result);
 
-/// Human-readable per-cell table with 95% CIs.
+/// Human-readable per-cell table (Table II's shape plus the campaign's extra
+/// buckets) with Wilson 95% CIs on the activation ratio and recovery rate.
 std::string format_table(const Result& result);
 
 }  // namespace sg::campaign

@@ -1,12 +1,10 @@
 #include "campaign/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "components/lock.hpp"
 #include "components/mem_mgr.hpp"
@@ -14,6 +12,7 @@
 #include "components/system.hpp"
 #include "kernel/fault.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -174,21 +173,9 @@ FleetResult run_fleet(const FleetConfig& config) {
   result.total_windows = config.horizon / config.probe_period;
   result.replicas.resize(static_cast<std::size_t>(config.replicas));
 
-  const int workers = std::max(1, std::min(config.workers, config.replicas));
-  std::atomic<int> next{0};
-  auto drain = [&] {
-    for (int r = next.fetch_add(1); r < config.replicas; r = next.fetch_add(1)) {
-      result.replicas[static_cast<std::size_t>(r)] = run_replica(config, r, schedule);
-    }
-  };
-  if (workers == 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(drain);
-    for (std::thread& thread : pool) thread.join();
-  }
+  parallel_for(result.replicas.size(), config.workers, [&](int, std::size_t r) {
+    result.replicas[r] = run_replica(config, static_cast<int>(r), schedule);
+  });
 
   std::set<VirtualTime> expiries;
   std::map<VirtualTime, int> expiry_buckets;  // keyed by probe window index

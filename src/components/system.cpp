@@ -3,8 +3,8 @@
 #include <cstdlib>
 
 #include "components/fault_profiles.hpp"
-#include "components/specs.hpp"
 #include "components/sys_util.hpp"
+#include "idl/gen_api.hpp"
 #include "util/assert.hpp"
 
 namespace sg::components {
@@ -31,19 +31,6 @@ const char* to_string(FtMode mode) {
 }
 
 System::System(SystemConfig config) : config_(std::move(config)) {
-  if (!config_.spec_source) {
-    config_.spec_source = [](const std::string& service) -> c3::InterfaceSpec {
-      if (service == "sched") return sched_spec();
-      if (service == "lock") return lock_spec();
-      if (service == "mman") return mman_spec();
-      if (service == "ramfs") return ramfs_spec();
-      if (service == "evt") return evt_spec();
-      if (service == "tmr") return tmr_spec();
-      SG_ASSERT_MSG(false, "unknown service: " + service);
-      __builtin_unreachable();
-    };
-  }
-
   kernel_ = std::make_unique<kernel::Kernel>();
   kernel_->set_cores(config_.cores);
   kernel_->tracer().set_enabled(config_.trace);
@@ -89,12 +76,13 @@ System::System(SystemConfig config) : config_(std::move(config)) {
   };
   auto kernel_wakeup = [&kern](ThreadId thd) { kern.wakeup(thd, /*recovery_wake=*/true); };
 
-  coordinator_->register_service(*sched_, config_.spec_source("sched"), kernel_wakeup);
-  coordinator_->register_service(*lock_, config_.spec_source("lock"), sched_wakeup);
-  coordinator_->register_service(*mman_, config_.spec_source("mman"), {});
-  coordinator_->register_service(*ramfs_, config_.spec_source("ramfs"), {});
-  coordinator_->register_service(*evt_, config_.spec_source("evt"), sched_wakeup);
-  coordinator_->register_service(*tmr_, config_.spec_source("tmr"), sched_wakeup);
+  // The specs are the IDL compiler's output for idl/<service>.sgidl (§IV).
+  coordinator_->register_service(*sched_, gen::make_sched_spec(), kernel_wakeup);
+  coordinator_->register_service(*lock_, gen::make_lock_spec(), sched_wakeup);
+  coordinator_->register_service(*mman_, gen::make_mman_spec(), {});
+  coordinator_->register_service(*ramfs_, gen::make_ramfs_spec(), {});
+  coordinator_->register_service(*evt_, gen::make_evt_spec(), sched_wakeup);
+  coordinator_->register_service(*tmr_, gen::make_tmr_spec(), sched_wakeup);
 
   // Graceful-degradation plumbing: a ramfs file lost from both its map and
   // the G1 store is an explicit degraded outcome, not silent data loss.

@@ -41,9 +41,6 @@ struct SystemConfig {
   /// system-service dependencies, client->service edges as invokers are
   /// created, and server->client upcall edges as stubs are created.
   bool enforce_caps = false;
-  /// Where InterfaceSpecs come from; defaults to the reference specs in
-  /// specs.hpp. The benchmarks substitute the IDL compiler's output here.
-  std::function<c3::InterfaceSpec(const std::string& service)> spec_source;
   /// Recovery-supervisor policy (crash-loop detection, escalation,
   /// quarantine). The default is transparent (loop_threshold == 0): faults
   /// behave exactly like plain C3 micro-reboots.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "components/system.hpp"
@@ -12,6 +10,7 @@
 #include "swifi/workloads.hpp"
 #include "trace/invariants.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace sg::explore {
 
@@ -331,62 +330,6 @@ Execution Explorer::run_one(const Schedule& schedule) const {
   return out;
 }
 
-std::vector<Execution> Explorer::run_batch(const std::vector<Schedule>& batch) const {
-  std::vector<Execution> results(batch.size());
-  const int workers =
-      std::max(1, std::min(opts_.workers, static_cast<int>(batch.size())));
-  if (workers == 1) {
-    for (std::size_t i = 0; i < batch.size(); ++i) results[i] = run_one(batch[i]);
-    return results;
-  }
-  // Work-stealing execution pool: batch indices are dealt round-robin into
-  // per-worker deques; a worker drains its own deque from the front and, when
-  // empty, steals from the back of the fullest peer. Each execution replays
-  // in its own fresh System, so workers share nothing but the deques; result
-  // placement is by index, so the merge order is canonical regardless of
-  // which worker ran what.
-  std::vector<std::deque<std::size_t>> deques(static_cast<std::size_t>(workers));
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    deques[i % static_cast<std::size_t>(workers)].push_back(i);
-  }
-  std::mutex mtx;
-  auto next = [&deques, &mtx, workers](int self) -> std::ptrdiff_t {
-    std::lock_guard<std::mutex> lock(mtx);
-    auto& own = deques[static_cast<std::size_t>(self)];
-    if (!own.empty()) {
-      const std::size_t idx = own.front();
-      own.pop_front();
-      return static_cast<std::ptrdiff_t>(idx);
-    }
-    int victim = -1;
-    std::size_t most = 0;
-    for (int w = 0; w < workers; ++w) {
-      if (deques[static_cast<std::size_t>(w)].size() > most) {
-        most = deques[static_cast<std::size_t>(w)].size();
-        victim = w;
-      }
-    }
-    if (victim < 0) return -1;
-    auto& other = deques[static_cast<std::size_t>(victim)];
-    const std::size_t idx = other.back();
-    other.pop_back();
-    return static_cast<std::ptrdiff_t>(idx);
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([this, &batch, &results, &next, w] {
-      for (;;) {
-        const std::ptrdiff_t idx = next(w);
-        if (idx < 0) break;
-        results[static_cast<std::size_t>(idx)] = run_one(batch[static_cast<std::size_t>(idx)]);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  return results;
-}
-
 // ---------------------------------------------------------------------------
 // Bounded BFS with sleep-set pruning
 // ---------------------------------------------------------------------------
@@ -465,19 +408,18 @@ Report Explorer::explore() const {
       break;
     }
     // One BFS wave: a batch off the queue front, replayed by the worker
-    // pool, then merged serially in canonical order — so executions,
-    // explored, failures, truncation and clipping are byte-identical to the
-    // single-worker sweep for any worker count. The batch never exceeds the
-    // remaining execution budget (the serial enumerator checks the cap
-    // before every replay).
+    // pool (each execution in its own fresh System), then merged serially in
+    // canonical order — so executions, explored, failures, truncation and
+    // clipping are byte-identical to the single-worker sweep for any worker
+    // count. The batch never exceeds the remaining execution budget (the
+    // serial enumerator checks the cap before every replay).
     const std::size_t budget = opts_.max_executions - report.executions;
     const std::size_t chunk =
         workers == 1 ? 1 : static_cast<std::size_t>(workers) * 16;
     const std::size_t batch_n = std::min({queue.size(), budget, chunk});
-    std::vector<Schedule> batch(queue.begin(),
-                                queue.begin() + static_cast<std::ptrdiff_t>(batch_n));
+    std::vector<Execution> results(batch_n);
+    parallel_for(batch_n, workers, [&](int, std::size_t i) { results[i] = run_one(queue[i]); });
     queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(batch_n));
-    std::vector<Execution> results = run_batch(batch);
 
     for (Execution& ex : results) {
       ++report.executions;

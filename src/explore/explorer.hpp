@@ -48,10 +48,11 @@ struct Options {
   /// exhaustive enumerator; the differential harness
   /// (tests/explore_dpor_test.cpp) asserts both find the same failures.
   bool dpor = true;
-  /// Parallel frontier width: executions of one BFS wave are replayed by a
-  /// work-stealing worker pool, each in its own fresh System (cores pinned
-  /// to 1 for per-execution determinism). Results are merged in canonical
-  /// BFS order, so Report::explored is byte-identical for any worker count.
+  /// Parallel frontier width: executions of one BFS wave are sharded over
+  /// this many host threads by sg::parallel_for, each replayed in its own
+  /// fresh System (cores pinned to 1 for per-execution determinism). Results
+  /// are merged in canonical BFS order, so Report::explored is byte-identical
+  /// for any worker count.
   int workers = 1;
 };
 
@@ -151,7 +152,7 @@ struct Report {
 /// replayed in a fresh System under the workload oracle and the recovery
 /// invariant checker. Dynamic partial-order reduction (sleep sets over a
 /// trace-derived independence relation) prunes redundant interleavings, and
-/// a work-stealing worker pool replays each BFS wave in parallel.
+/// each BFS wave is replayed in parallel on sg::parallel_for.
 /// Deterministic end to end: Report::explored is byte-identical across runs
 /// and worker counts.
 class Explorer {
@@ -188,7 +189,6 @@ class Explorer {
   static bool crash_points_equivalent(const Execution& ex, std::uint64_t point);
 
  private:
-  std::vector<Execution> run_batch(const std::vector<Schedule>& batch) const;
   void extend(const Execution& ex, Report& report,
               std::set<std::string>& visited, std::deque<Schedule>& queue) const;
 

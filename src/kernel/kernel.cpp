@@ -1436,10 +1436,6 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   }
 }
 
-InvokeResult Kernel::upcall(CompId from, CompId into, const std::string& fn, const Args& args) {
-  return invoke(from, into, fn, args);
-}
-
 void Kernel::do_micro_reboot(Component& comp) {
   // Micro-reboot cost: restore the component's image with a memcpy (§II-C).
   static thread_local std::vector<unsigned char> image;

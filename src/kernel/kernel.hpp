@@ -312,11 +312,8 @@ class Kernel {
   /// The handler runs on the calling thread (thread migration). A fail-stop
   /// ComponentFault in the server vectors to the booter (micro-reboot + epoch
   /// bump + reboot hooks) and surfaces as {0, fault=true} to the caller.
+  /// Upcalls from a server into a client component (U0) are invocations too.
   InvokeResult invoke(CompId client, CompId server, const std::string& fn, const Args& args);
-
-  /// Upcall from a server into a client component (U0 mechanism). Mediated
-  /// like invoke but flows "downhill"; faults surface the same way.
-  InvokeResult upcall(CompId from, CompId into, const std::string& fn, const Args& args);
 
   // --- fault handling ----------------------------------------------------------
   /// Installs the booter callback that performs the micro-reboot (memcpy +

@@ -1,15 +1,11 @@
 #include "swifi/swifi.hpp"
 
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "c3stubs/c3_stubs.hpp"
 #include "components/trace_check.hpp"
 #include "swifi/workloads.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
-#include "util/stats.hpp"
 
 namespace sg::swifi {
 
@@ -222,97 +218,6 @@ EpisodeResult Campaign::run_episode_detail(const std::string& service, std::uint
   }
   // The flip landed but was absorbed (dead register or overwritten value).
   return finalize(Outcome::kUndetected, false);
-}
-
-namespace {
-void tally_outcome(CampaignRow& row, Outcome outcome) {
-  ++row.injected;
-  switch (outcome) {
-    case Outcome::kRecovered: ++row.recovered; break;
-    case Outcome::kDegraded: ++row.degraded; break;
-    case Outcome::kSegfault: ++row.segfault; break;
-    case Outcome::kPropagated: ++row.propagated; break;
-    case Outcome::kOther: ++row.other; break;
-    case Outcome::kUndetected: ++row.undetected; break;
-  }
-}
-}  // namespace
-
-CampaignRow Campaign::run_service(const std::string& service, int workers) {
-  CampaignRow row;
-  row.component = service;
-  const int total = config_.injections;
-  if (workers <= 1) {
-    for (int episode = 0; episode < total; ++episode) {
-      tally_outcome(row, run_episode(service, static_cast<std::uint64_t>(episode)));
-    }
-    return row;
-  }
-  // Sharded run: workers pull episode indices off a shared atomic counter.
-  // Each episode's seed is a pure function of (config seed, index), so the
-  // row is identical for every worker count; per-worker partial rows merge
-  // commutatively at the end.
-  std::atomic<int> next{0};
-  std::vector<CampaignRow> partial(static_cast<std::size_t>(workers));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      CampaignRow& mine = partial[static_cast<std::size_t>(w)];
-      for (int episode = next.fetch_add(1); episode < total; episode = next.fetch_add(1)) {
-        tally_outcome(mine, run_episode(service, static_cast<std::uint64_t>(episode)));
-      }
-    });
-  }
-  for (std::thread& thread : pool) thread.join();
-  for (const CampaignRow& mine : partial) {
-    row.injected += mine.injected;
-    row.recovered += mine.recovered;
-    row.degraded += mine.degraded;
-    row.segfault += mine.segfault;
-    row.propagated += mine.propagated;
-    row.other += mine.other;
-    row.undetected += mine.undetected;
-  }
-  return row;
-}
-
-std::vector<CampaignRow> Campaign::run_all(int workers) {
-  std::vector<CampaignRow> rows;
-  // The paper's six targets, plus the recovery substrate itself: faults in
-  // the storage component exercise the rebuild/degradation machinery.
-  for (const char* service : {"sched", "mman", "ramfs", "lock", "evt", "tmr", "storage"}) {
-    rows.push_back(run_service(service, workers));
-  }
-  return rows;
-}
-
-std::string format_table2(const std::vector<CampaignRow>& rows) {
-  TextTable table;
-  table.add_row({"System Component", "Injected", "Recovered Faults", "Degraded",
-                 "Not recovered (segfault)", "Not recovered (propagated)",
-                 "Not recovered (other reason)", "Undetected", "Fault Activation Ratio",
-                 "Recovery Success Rate"});
-  auto pct = [](double value) {
-    std::ostringstream oss;
-    oss.setf(std::ios::fixed);
-    oss.precision(2);
-    oss << value * 100.0 << "%";
-    return oss.str();
-  };
-  static const std::map<std::string, std::string> kPaperNames = {
-      {"sched", "Sched"}, {"mman", "MM"},   {"ramfs", "FS"},     {"lock", "Lock"},
-      {"evt", "Event"},   {"tmr", "Timer"}, {"storage", "Storage"}};
-  for (const auto& row : rows) {
-    auto name_it = kPaperNames.find(row.component);
-    table.add_row({name_it != kPaperNames.end() ? name_it->second : row.component,
-                   std::to_string(row.injected), std::to_string(row.recovered),
-                   std::to_string(row.degraded), std::to_string(row.segfault),
-                   std::to_string(row.propagated), std::to_string(row.other),
-                   std::to_string(row.undetected), pct(row.activation_ratio()),
-                   pct(row.success_rate())});
-  }
-  return table.render();
 }
 
 }  // namespace sg::swifi

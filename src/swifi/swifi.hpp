@@ -24,30 +24,7 @@ enum class Outcome {
 
 const char* to_string(Outcome outcome);
 
-/// One Table II row.
-struct CampaignRow {
-  std::string component;
-  int injected = 0;
-  int recovered = 0;
-  int degraded = 0;
-  int segfault = 0;
-  int propagated = 0;
-  int other = 0;
-  int undetected = 0;
-
-  int activated() const { return injected - undetected; }
-  /// |F_a| / |F_a ∪ F_u|.
-  double activation_ratio() const {
-    return injected == 0 ? 0.0 : static_cast<double>(activated()) / injected;
-  }
-  /// |F_r| / |F_a|.
-  double success_rate() const {
-    return activated() == 0 ? 0.0 : static_cast<double>(recovered) / activated();
-  }
-};
-
 struct CampaignConfig {
-  int injections = 500;  ///< Faults per target component (|F_a ∪ F_u|, §V-D).
   std::uint64_t seed = 2016;
   components::FtMode mode = components::FtMode::kSuperGlue;
   c3::RecoveryPolicy policy = c3::RecoveryPolicy::kOnDemand;
@@ -113,12 +90,13 @@ struct EpisodeTrace {
   bool truncated = false;       ///< Ring overflow dropped the oldest events.
 };
 
-/// Runs the SWIFI campaign of §V-D: for each injection, a fresh system
+/// Runs the SWIFI episodes of §V-D: for each injection, a fresh system
 /// boots ("after each workload execution, the system is rebooted to clear
 /// any residual errors"), the component's workload runs, a SWIFI context
 /// arms a single random register bit flip (mask 0xFFFFFFFF over the six
 /// GPRs + ESP + EBP) that lands while a thread executes inside the target
-/// component, and the episode's outcome is classified.
+/// component, and the episode's outcome is classified. campaign::run shards
+/// whole campaigns of these episodes (Table II included) across workers.
 class Campaign {
  public:
   explicit Campaign(CampaignConfig config) : config_(config) {}
@@ -137,20 +115,8 @@ class Campaign {
                                    const EpisodeOptions& options,
                                    EpisodeTrace* trace_out = nullptr) const;
 
-  /// Full campaign for one target component. `workers` > 1 shards episodes
-  /// across threads by atomic work index; per-episode seeds depend only on
-  /// (config seed, episode index), so every worker count produces the same
-  /// row.
-  CampaignRow run_service(const std::string& service, int workers = 1);
-
-  /// The six Table II components plus the storage substrate target.
-  std::vector<CampaignRow> run_all(int workers = 1);
-
  private:
   CampaignConfig config_;
 };
-
-/// Renders rows in the shape of Table II.
-std::string format_table2(const std::vector<CampaignRow>& rows);
 
 }  // namespace sg::swifi

@@ -7,6 +7,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fleet.hpp"
+#include "util/assert.hpp"
 #include "util/stats.hpp"
 
 namespace sg {
@@ -157,6 +158,18 @@ TEST(CampaignTest, WorkerCountDoesNotChangeResults) {
   config.workers = 3;
   const std::string sharded = campaign::to_json(config, campaign::run(config));
   EXPECT_EQ(solo, sharded);
+}
+
+TEST(CampaignTest, ThrowingEpisodeIsRethrownAtAnyWorkerCount) {
+  // Every episode of an unknown service throws. A sharded run must hand that
+  // to the caller, not let it escape a worker thread and terminate.
+  for (const int workers : {1, 4}) {
+    campaign::Config config = small_config();
+    config.services = {"nosuch"};
+    config.injections_per_cell = 8;
+    config.workers = workers;
+    EXPECT_THROW(campaign::run(config), AssertionError) << workers << " workers";
+  }
 }
 
 TEST(CampaignTest, InvariantCheckedCampaignIsClean) {

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "components/event_mgr.hpp"
 #include "components/lock.hpp"
 #include "components/ramfs.hpp"
@@ -271,13 +272,14 @@ TEST(RecoveryDomains, CoresOneRunsAreByteIdentical) {
   EXPECT_EQ(a.trace_normalized.find("domain"), std::string::npos)
       << "cores=1 traces must not contain domain events";
 
-  swifi::CampaignConfig campaign_config;
-  campaign_config.injections = 6;
-  campaign_config.seed = 2016;
-  swifi::Campaign first(campaign_config);
-  swifi::Campaign second(campaign_config);
-  const std::string table_a = swifi::format_table2(first.run_all(1));
-  const std::string table_b = swifi::format_table2(second.run_all(2));
+  campaign::Config campaign_config;
+  campaign_config.master_seed = 2016;
+  campaign_config.injections_per_cell = 6;
+  campaign_config.workload_iterations = 0;  // Table II's 400-iteration workloads.
+  campaign_config.workers = 1;
+  const std::string table_a = campaign::format_table(campaign::run(campaign_config));
+  campaign_config.workers = 2;
+  const std::string table_b = campaign::format_table(campaign::run(campaign_config));
   EXPECT_EQ(table_a, table_b);
 }
 

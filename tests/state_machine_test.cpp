@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "c3/state_machine.hpp"
-#include "components/specs.hpp"
+#include "idl/gen_api.hpp"
 #include "util/assert.hpp"
 
 namespace sg {
@@ -92,10 +94,18 @@ TEST(StateMachineTest, UseBeforeFinalizeThrows) {
 
 // --- property sweep over the six real interfaces ------------------------------
 
-class SpecSmProperty : public ::testing::TestWithParam<c3::InterfaceSpec (*)()> {};
+// Parameters print as the service name, so test names carry no load addresses.
+struct SpecCase {
+  const char* service;
+  c3::InterfaceSpec (*make)();
+};
+
+void PrintTo(const SpecCase& param, std::ostream* os) { *os << param.service; }
+
+class SpecSmProperty : public ::testing::TestWithParam<SpecCase> {};
 
 TEST_P(SpecSmProperty, EveryWalkIsReplayableAndTerminates) {
-  const auto spec = GetParam()();
+  const auto spec = GetParam().make();
   for (const auto& state : spec.sm.states()) {
     const auto& walk = spec.sm.recovery_walk(state);
     // Walks are short (bounded by |S|) and never include creation, terminal,
@@ -117,7 +127,7 @@ TEST_P(SpecSmProperty, EveryWalkIsReplayableAndTerminates) {
 }
 
 TEST_P(SpecSmProperty, TerminalFnsAreValidSomewhere) {
-  const auto spec = GetParam()();
+  const auto spec = GetParam().make();
   for (const auto& terminal : spec.sm.terminal_fns()) {
     bool valid_somewhere = false;
     for (const auto& state : spec.sm.states()) {
@@ -128,9 +138,12 @@ TEST_P(SpecSmProperty, TerminalFnsAreValidSomewhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSpecs, SpecSmProperty,
-                         ::testing::Values(&components::sched_spec, &components::lock_spec,
-                                           &components::mman_spec, &components::ramfs_spec,
-                                           &components::evt_spec, &components::tmr_spec));
+                         ::testing::Values(SpecCase{"sched", &gen::make_sched_spec},
+                                           SpecCase{"lock", &gen::make_lock_spec},
+                                           SpecCase{"mman", &gen::make_mman_spec},
+                                           SpecCase{"ramfs", &gen::make_ramfs_spec},
+                                           SpecCase{"evt", &gen::make_evt_spec},
+                                           SpecCase{"tmr", &gen::make_tmr_spec}));
 
 }  // namespace
 }  // namespace sg

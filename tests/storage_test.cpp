@@ -7,6 +7,7 @@
 
 #include "c3/cbuf.hpp"
 #include "c3/storage.hpp"
+#include "campaign/campaign.hpp"
 #include "components/ramfs.hpp"
 #include "components/system.hpp"
 #include "swifi/swifi.hpp"
@@ -439,27 +440,28 @@ TEST(StorageInvariantTest, TruncatedWindowSuppressesPrefixChecks) {
 // ---------------------------------------------------------------------------
 
 TEST(StorageSwifiTest, EveryEpisodeConvergesRecoveredDegradedOrUndetected) {
-  swifi::CampaignConfig config;
-  config.injections = 24;
-  config.seed = 4242;
-  swifi::Campaign campaign(config);
-  const auto row = campaign.run_service("storage");
+  campaign::Config config;
+  config.master_seed = 4242;
+  config.injections_per_cell = 24;
+  config.workload_iterations = 0;  // Table II's 400-iteration workload.
+  config.services = {"storage"};
+  const campaign::Tally row = campaign::run(config).total;
 
-  EXPECT_EQ(row.injected, 24);
+  EXPECT_EQ(row.injected, 24u);
   // The substrate's fault profile is fail-stop-or-undetected by design
   // (fault_profiles.hpp): no episode may end in a whole-machine crash, a
   // hang, or an unexplained failure — only success, *explicit* degradation,
   // or an absorbed flip.
-  EXPECT_EQ(row.segfault, 0);
-  EXPECT_EQ(row.propagated, 0);
-  EXPECT_EQ(row.other, 0);
+  EXPECT_EQ(row.segfault, 0u);
+  EXPECT_EQ(row.propagated, 0u);
+  EXPECT_EQ(row.hang, 0u);
+  EXPECT_EQ(row.other, 0u);
   EXPECT_EQ(row.recovered + row.degraded + row.undetected, row.injected);
-  EXPECT_GT(row.activated(), 0);  // The campaign actually reached storage.
+  EXPECT_GT(row.activated(), 0u);  // The campaign actually reached storage.
 }
 
 TEST(StorageSwifiTest, StorageEpisodeTracePassesInvariantChecker) {
   swifi::CampaignConfig config;
-  config.injections = 1;
   config.seed = 77;
   config.trace = true;
   swifi::Campaign campaign(config);
@@ -473,7 +475,6 @@ TEST(StorageSwifiTest, StorageEpisodeTracePassesInvariantChecker) {
 
 TEST(StorageSwifiTest, EpisodesAreDeterministic) {
   swifi::CampaignConfig config;
-  config.injections = 1;
   config.seed = 31;
   swifi::Campaign campaign_a(config);
   swifi::Campaign campaign_b(config);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hpp"
 #include "swifi/swifi.hpp"
 #include "swifi/workloads.hpp"
 
@@ -9,6 +10,27 @@ namespace {
 using swifi::Campaign;
 using swifi::CampaignConfig;
 using swifi::Outcome;
+
+/// Table II episodes (the 400-iteration workloads) against one target.
+campaign::Tally table2_cell(const std::string& service, std::uint64_t injections,
+                            std::uint64_t seed = 2016,
+                            components::FtMode mode = components::FtMode::kSuperGlue) {
+  campaign::Config config;
+  config.master_seed = seed;
+  config.injections_per_cell = injections;
+  config.workload_iterations = 0;
+  config.services = {service};
+  config.mode = mode;
+  return campaign::run(config).total;
+}
+
+double activation_ratio(const campaign::Tally& t) {
+  return static_cast<double>(t.activated()) / static_cast<double>(t.injected);
+}
+
+double success_rate(const campaign::Tally& t) {
+  return static_cast<double>(t.recovered) / static_cast<double>(t.activated());
+}
 
 TEST(SwifiTest, WorkloadsRunCleanWithoutInjection) {
   // Every workload must complete its iterations with invariants intact when
@@ -26,7 +48,6 @@ TEST(SwifiTest, WorkloadsRunCleanWithoutInjection) {
 
 TEST(SwifiTest, EpisodesAreDeterministic) {
   CampaignConfig config;
-  config.injections = 1;
   config.seed = 99;
   Campaign campaign_a(config);
   Campaign campaign_b(config);
@@ -37,35 +58,23 @@ TEST(SwifiTest, EpisodesAreDeterministic) {
 }
 
 TEST(SwifiTest, MostFaultsAreActivatedAndRecovered) {
-  CampaignConfig config;
-  config.injections = 60;
-  config.seed = 7;
-  Campaign campaign(config);
-  const auto row = campaign.run_service("ramfs");
-  EXPECT_EQ(row.injected, 60);
+  const campaign::Tally fs = table2_cell("ramfs", 60, 7);
+  EXPECT_EQ(fs.injected, 60u);
   // Loose bands around Table II's FS row (94.7% activation, 96.1% success).
-  EXPECT_GT(row.activation_ratio(), 0.75);
-  EXPECT_GT(row.success_rate(), 0.80);
+  EXPECT_GT(activation_ratio(fs), 0.75);
+  EXPECT_GT(success_rate(fs), 0.80);
 }
 
 TEST(SwifiTest, CampaignCountsAreConsistent) {
-  CampaignConfig config;
-  config.injections = 40;
-  Campaign campaign(config);
-  const auto row = campaign.run_service("tmr");
-  EXPECT_EQ(row.recovered + row.degraded + row.segfault + row.propagated + row.other +
-                row.undetected,
-            row.injected);
-  EXPECT_EQ(row.activated(), row.injected - row.undetected);
+  const campaign::Tally t = table2_cell("tmr", 40);
+  EXPECT_EQ(t.recovered + t.degraded + t.segfault + t.propagated + t.hang + t.quarantined +
+                t.other + t.undetected,
+            t.injected);
+  EXPECT_EQ(t.activated(), t.injected - t.undetected);
 }
 
 TEST(SwifiTest, C3ModeRecoversComparably) {
-  CampaignConfig config;
-  config.injections = 40;
-  config.mode = components::FtMode::kC3;
-  Campaign campaign(config);
-  const auto row = campaign.run_service("lock");
-  EXPECT_GT(row.success_rate(), 0.7);
+  EXPECT_GT(success_rate(table2_cell("lock", 40, 2016, components::FtMode::kC3)), 0.7);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
 #include "util/histogram.hpp"
 #include "util/loc_counter.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
@@ -209,6 +213,41 @@ TEST(HistogramTest, EmptyAndZeroBehaviour) {
   EXPECT_EQ(hist.min(), 1u);
   EXPECT_EQ(hist.max(), 1u);
   EXPECT_EQ(hist.percentile(100.0), 1u);
+}
+
+TEST(ParallelForTest, RunsEveryIndexOnceOnDenseWorkerIds) {
+  for (const int workers : {1, 3, 8}) {
+    std::vector<std::atomic<int>> hits(50);
+    std::vector<std::atomic<int>> worker_of(50);
+    parallel_for(hits.size(), workers, [&](int worker, std::size_t i) {
+      ++hits[i];
+      worker_of[i] = worker;
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << i;
+      EXPECT_GE(worker_of[i].load(), 0);
+      EXPECT_LT(worker_of[i].load(), workers);
+    }
+  }
+}
+
+TEST(ParallelForTest, OneWorkerRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int on_caller = 0;
+  parallel_for(10, 1, [&](int, std::size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+  });
+  EXPECT_EQ(on_caller, 10);
+}
+
+TEST(ParallelForTest, ExceptionIsRethrownOnTheCaller) {
+  for (const int workers : {1, 4}) {
+    EXPECT_THROW(parallel_for(100, workers,
+                              [](int, std::size_t i) {
+                                if (i == 3) throw std::runtime_error("index 3");
+                              }),
+                 std::runtime_error);
+  }
 }
 
 TEST(AssertTest, ThrowsWithLocation) {
