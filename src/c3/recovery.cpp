@@ -27,17 +27,18 @@ void RecoveryCoordinator::note_degraded(const char* why) {
   SG_DEBUG("recovery", "degraded recovery: " << why);
 }
 
-void RecoveryCoordinator::register_service(kernel::Component& server, InterfaceSpec spec,
+void RecoveryCoordinator::register_service(kernel::Component& server,
+                                           std::shared_ptr<const InterfaceSpec> spec,
                                            WakeupFn wakeup) {
-  spec.validate();
-  const std::string service = spec.service;
+  SG_ASSERT(spec != nullptr);
+  const std::string& service = spec->service;
   SG_ASSERT_MSG(services_.count(service) == 0, "service registered twice: " + service);
   Service& svc = services_[service];
   svc.server = &server;
   svc.spec = std::move(spec);
   svc.wakeup = std::move(wakeup);
-  if (svc.spec.desc_is_global || svc.spec.parent == ParentKind::kXCParent) {
-    svc.server_stub = std::make_unique<ServerStub>(kernel_, server, svc.spec, storage_);
+  if (svc.spec->desc_is_global || svc.spec->parent == ParentKind::kXCParent) {
+    svc.server_stub = std::make_unique<ServerStub>(kernel_, server, *svc.spec, storage_);
     svc.server_stub->set_degraded_hook(
         [this](const char*) { note_degraded("G0 record found but recreation upcall failed"); });
   }
@@ -51,7 +52,7 @@ ClientStub& RecoveryCoordinator::client_stub(kernel::Component& client,
   std::lock_guard<std::mutex> guard(stub_mu_);
   auto& slot = svc.client_stubs[client.id()];
   if (!slot) {
-    slot = std::make_unique<ClientStub>(kernel_, client, svc.server->id(), svc.spec, &storage_);
+    slot = std::make_unique<ClientStub>(kernel_, client, svc.server->id(), *svc.spec, &storage_);
   }
   return *slot;
 }
@@ -59,12 +60,12 @@ ClientStub& RecoveryCoordinator::client_stub(kernel::Component& client,
 const InterfaceSpec& RecoveryCoordinator::spec(const std::string& service) const {
   auto it = services_.find(service);
   SG_ASSERT_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second.spec;
+  return *it->second.spec;
 }
 
 const InterfaceSpec* RecoveryCoordinator::find_spec_by_comp(CompId comp) const {
   for (const auto& [name, svc] : services_) {
-    if (svc.server->id() == comp) return &svc.spec;
+    if (svc.server->id() == comp) return svc.spec.get();
   }
   return nullptr;
 }
@@ -151,7 +152,7 @@ void RecoveryCoordinator::process_reboot(CompId comp) {
   Service* svc = find_service_by_comp(comp);
   if (svc == nullptr) return;  // Not a recovery-managed component.
   reboots_handled_.fetch_add(1, std::memory_order_relaxed);
-  SG_DEBUG("recovery", "handling reboot of " << svc->spec.service);
+  SG_DEBUG("recovery", "handling reboot of " << svc->spec->service);
 
   if (policy_ == RecoveryPolicy::kEager) {
     // C3's eager mode: rebuild every client's descriptors right now, at the
@@ -175,11 +176,11 @@ void RecoveryCoordinator::process_reboot(CompId comp) {
       }
       if (!aborted) break;
       replay_restarts_.fetch_add(1, std::memory_order_relaxed);
-      SG_DEBUG("recovery", "eager sweep for " << svc->spec.service << " restarted");
+      SG_DEBUG("recovery", "eager sweep for " << svc->spec->service << " restarted");
     }
   }
 
-  if (!svc->spec.desc_block) return;
+  if (!svc->spec->desc_block) return;
 
   // T0: wake every thread blocked inside the rebooted component, inheriting
   // the highest priority among them so recovery does not invert priorities.

@@ -43,10 +43,12 @@ class RecoveryCoordinator {
   RecoveryCoordinator(const RecoveryCoordinator&) = delete;
   RecoveryCoordinator& operator=(const RecoveryCoordinator&) = delete;
 
-  /// Registers a system service: its server component, its compiled interface
-  /// spec (validated here), and its wakeup adapter. Creates the server-side
-  /// stub when the interface is global (G0).
-  void register_service(kernel::Component& server, InterfaceSpec spec, WakeupFn wakeup);
+  /// Registers a system service: its server component, its interface spec,
+  /// and its wakeup adapter. The spec arrives validated and compiled; the
+  /// coordinator only reads it, so one spec can serve every System in the
+  /// process. Creates the server-side stub when the interface is global (G0).
+  void register_service(kernel::Component& server, std::shared_ptr<const InterfaceSpec> spec,
+                        WakeupFn wakeup);
 
   /// Get-or-create the client stub for (client, service).
   ClientStub& client_stub(kernel::Component& client, const std::string& service);
@@ -88,7 +90,7 @@ class RecoveryCoordinator {
  private:
   struct Service {
     kernel::Component* server = nullptr;
-    InterfaceSpec spec;
+    std::shared_ptr<const InterfaceSpec> spec;
     WakeupFn wakeup;
     std::unique_ptr<ServerStub> server_stub;
     /// Keyed by client component id.

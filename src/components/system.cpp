@@ -21,6 +21,33 @@ int SystemConfig::env_cores() {
   return static_cast<int>(n);
 }
 
+namespace {
+
+using SpecPtr = std::shared_ptr<const c3::InterfaceSpec>;
+
+SpecPtr compile_once(c3::InterfaceSpec (*make)()) {
+  auto spec = std::make_shared<const c3::InterfaceSpec>(make());
+  spec->validate();
+  // Compile the shared object itself: moving a spec drops its compiled cache.
+  spec->compiled();
+  return spec;
+}
+
+/// The IDL compiler's output for idl/<service>.sgidl (§IV), built, validated
+/// and compiled when the first System boots, then shared read-only by every
+/// System in the process, as SuperGlue's stubs are compiled once at build
+/// time.
+struct GeneratedSpecs {
+  SpecPtr sched = compile_once(gen::make_sched_spec);
+  SpecPtr lock = compile_once(gen::make_lock_spec);
+  SpecPtr mman = compile_once(gen::make_mman_spec);
+  SpecPtr ramfs = compile_once(gen::make_ramfs_spec);
+  SpecPtr evt = compile_once(gen::make_evt_spec);
+  SpecPtr tmr = compile_once(gen::make_tmr_spec);
+};
+
+}  // namespace
+
 const char* to_string(FtMode mode) {
   switch (mode) {
     case FtMode::kNone: return "COMPOSITE";
@@ -76,13 +103,13 @@ System::System(SystemConfig config) : config_(std::move(config)) {
   };
   auto kernel_wakeup = [&kern](ThreadId thd) { kern.wakeup(thd, /*recovery_wake=*/true); };
 
-  // The specs are the IDL compiler's output for idl/<service>.sgidl (§IV).
-  coordinator_->register_service(*sched_, gen::make_sched_spec(), kernel_wakeup);
-  coordinator_->register_service(*lock_, gen::make_lock_spec(), sched_wakeup);
-  coordinator_->register_service(*mman_, gen::make_mman_spec(), {});
-  coordinator_->register_service(*ramfs_, gen::make_ramfs_spec(), {});
-  coordinator_->register_service(*evt_, gen::make_evt_spec(), sched_wakeup);
-  coordinator_->register_service(*tmr_, gen::make_tmr_spec(), sched_wakeup);
+  static const GeneratedSpecs specs;
+  coordinator_->register_service(*sched_, specs.sched, kernel_wakeup);
+  coordinator_->register_service(*lock_, specs.lock, sched_wakeup);
+  coordinator_->register_service(*mman_, specs.mman, {});
+  coordinator_->register_service(*ramfs_, specs.ramfs, {});
+  coordinator_->register_service(*evt_, specs.evt, sched_wakeup);
+  coordinator_->register_service(*tmr_, specs.tmr, sched_wakeup);
 
   // Graceful-degradation plumbing: a ramfs file lost from both its map and
   // the G1 store is an explicit degraded outcome, not silent data loss.

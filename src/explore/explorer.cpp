@@ -309,14 +309,14 @@ Execution Explorer::run_one(const Schedule& schedule) const {
     out.failed = true;
     out.reason = "workload did not complete (lost wakeup?)";
   }
+  if (!opts_.capture_trace && out.crashed) return out;
+  const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
   if (opts_.capture_trace) {
-    const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
     out.trace = trace::format_normalized(snap.events, components::comp_namer(sys));
   }
   if (!out.crashed) {
     // A crash stops the log mid-recovery; the invariants only promise
     // anything about runs the machine survived.
-    const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
     trace::InvariantChecker checker(components::checker_hooks(sys));
     out.violations = checker.check(snap);
     if (!out.failed && !out.violations.empty()) {

@@ -157,27 +157,25 @@ EpisodeResult Campaign::run_episode_detail(const std::string& service, std::uint
     result.crashed = crashed;
     result.quarantined = kern.is_quarantined(target);
     result.virtual_end = kern.clock().now();
-    if (sys.config().trace && !crashed && options.check_invariants) {
-      // A crash stops the log mid-recovery; the invariants only promise
-      // anything about runs the machine survived.
+    // A crash stops the log mid-recovery; the invariants only promise
+    // anything about runs the machine survived. A captured trace is checked
+    // even when the options do not ask for it.
+    const bool check = !crashed && (options.check_invariants || trace_out != nullptr);
+    if (!sys.config().trace || (!check && trace_out == nullptr)) return result;
+    const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
+    if (check) {
       trace::InvariantChecker checker(components::checker_hooks(sys));
-      const auto violations = checker.check(kern.tracer().snapshot());
+      const auto violations = checker.check(snap);
       result.invariant_violations = static_cast<int>(violations.size());
       if (trace_out != nullptr) trace_out->violations = violations;
     }
-    if (sys.config().trace && trace_out != nullptr) {
-      const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
+    if (trace_out != nullptr) {
       const trace::NameFn names = components::comp_namer(sys);
       trace_out->normalized = trace::format_normalized(snap.events, names);
       std::ostringstream json;
       trace::write_chrome_trace(json, snap, names);
       trace_out->chrome_json = json.str();
       trace_out->truncated = snap.truncated();
-      if (!crashed && !options.check_invariants) {
-        trace::InvariantChecker checker(components::checker_hooks(sys));
-        trace_out->violations = checker.check(snap);
-        result.invariant_violations = static_cast<int>(trace_out->violations.size());
-      }
     }
     return result;
   };

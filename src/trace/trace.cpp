@@ -112,10 +112,21 @@ Tracer::Ring& Tracer::ring_for_this_thread() {
   return *slot;
 }
 
+void Tracer::Ring::reset(std::size_t new_capacity) {
+  capacity = new_capacity;
+  chunks.clear();
+  chunks.resize((capacity + kChunkEvents - 1) / kChunkEvents);
+  next = 0;
+  count = 0;
+}
+
 void Tracer::record_slow(Event ev) {
   ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   Ring& ring = ring_for_this_thread();
-  ring.slots[static_cast<std::size_t>(ring.count % ring.slots.size())] = ev;
+  std::unique_ptr<Event[]>& chunk = ring.chunks[ring.next / kChunkEvents];
+  if (!chunk) chunk = std::make_unique<Event[]>(kChunkEvents);
+  chunk[ring.next % kChunkEvents] = ev;
+  if (++ring.next == ring.capacity) ring.next = 0;
   ++ring.count;
 }
 
@@ -123,12 +134,13 @@ Tracer::Snapshot Tracer::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mtx_);
   for (const auto& [thread_id, ring] : rings_) {
-    const std::uint64_t size = ring->slots.size();
-    const std::uint64_t kept = std::min(ring->count, size);
+    const std::uint64_t kept = std::min<std::uint64_t>(ring->count, ring->capacity);
     snap.dropped += ring->count - kept;
-    const std::uint64_t start = ring->count - kept;
-    for (std::uint64_t i = start; i < ring->count; ++i) {
-      snap.events.push_back(ring->slots[static_cast<std::size_t>(i % size)]);
+    // Once the ring has wrapped, its oldest kept event is the next to go.
+    std::size_t slot = kept == ring->capacity ? ring->next : 0;
+    for (std::uint64_t i = 0; i < kept; ++i) {
+      snap.events.push_back(ring->at(slot));
+      if (++slot == ring->capacity) slot = 0;
     }
   }
   std::sort(snap.events.begin(), snap.events.end(),
@@ -138,17 +150,17 @@ Tracer::Snapshot Tracer::snapshot() const {
 
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mtx_);
-  for (auto& [thread_id, ring] : rings_) ring->count = 0;
+  for (auto& [thread_id, ring] : rings_) {
+    ring->next = 0;
+    ring->count = 0;
+  }
   seq_.store(0, std::memory_order_relaxed);
 }
 
 void Tracer::set_capacity(std::size_t ring_capacity) {
   std::lock_guard<std::mutex> lock(mtx_);
   capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
-  for (auto& [thread_id, ring] : rings_) {
-    ring->slots.assign(capacity_, Event{});
-    ring->count = 0;
-  }
+  for (auto& [thread_id, ring] : rings_) ring->reset(capacity_);
   seq_.store(0, std::memory_order_relaxed);
 }
 

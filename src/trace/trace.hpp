@@ -114,13 +114,19 @@ using NameFn = std::function<std::string(kernel::CompId)>;
 /// predicted branch — the near-zero disabled cost bench_micro_primitives
 /// measures.
 ///
+/// A ring takes memory in chunks of kChunkEvents as events arrive, up to its
+/// capacity, so a thread that records a handful of events holds one chunk.
+///
 /// Overflow policy: each ring keeps the newest `capacity` events and evicts
 /// the oldest; snapshot() reports how many were dropped so consumers (the
 /// invariant checker) can switch to truncation-lenient interpretation
 /// instead of reporting false violations.
 class Tracer {
  public:
+  /// Per-thread cap: the most events one ring holds before it wraps.
   static constexpr std::size_t kDefaultRingCapacity = 1u << 15;
+  /// Allocation unit of a ring (12 KiB of events).
+  static constexpr std::size_t kChunkEvents = 256;
 
   explicit Tracer(std::size_t ring_capacity = kDefaultRingCapacity);
   ~Tracer();
@@ -166,18 +172,27 @@ class Tracer {
   };
   Snapshot snapshot() const;
 
-  /// Discards all recorded events (rings stay allocated) and resets seq.
+  /// Discards all recorded events (rings keep their chunks) and resets seq.
   void clear();
 
-  /// Resizes every ring (discarding contents). Tests use tiny capacities to
-  /// exercise the overflow policy.
+  /// Sets every ring's capacity, discarding contents and chunks. Tests use
+  /// tiny capacities to exercise the overflow policy.
   void set_capacity(std::size_t ring_capacity);
 
  private:
+  /// Slot i lives at chunks[i / kChunkEvents][i % kChunkEvents]; a chunk is
+  /// allocated when the first event lands in it.
   struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<Event> slots;
-    std::uint64_t count = 0;  ///< Events ever recorded; index = count % size.
+    explicit Ring(std::size_t capacity) { reset(capacity); }
+    void reset(std::size_t new_capacity);
+    const Event& at(std::size_t slot) const {
+      return chunks[slot / kChunkEvents][slot % kChunkEvents];
+    }
+
+    std::size_t capacity = 0;
+    std::vector<std::unique_ptr<Event[]>> chunks;
+    std::size_t next = 0;     ///< Slot the next event lands in.
+    std::uint64_t count = 0;  ///< Events ever recorded.
   };
 
   void record_slow(Event ev);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "components/system.hpp"
 #include "idl/codegen.hpp"
@@ -166,11 +168,14 @@ TEST(IdlCompilerTest, RejectsUnknownFnInDirective) {
 
 // --- six services: IDL == reference == generated -----------------------------
 
+// Parameters print as the service name, so test names carry no load addresses.
 struct ServiceCase {
   const char* name;
   InterfaceSpec (*reference)();
   InterfaceSpec (*generated)();
 };
+
+void PrintTo(const ServiceCase& param, std::ostream* os) { *os << param.name; }
 
 class IdlServiceTest : public ::testing::TestWithParam<ServiceCase> {};
 
@@ -202,10 +207,8 @@ INSTANTIATE_TEST_SUITE_P(
         ServiceCase{"mman", &reference::mman_spec, &gen::make_mman_spec},
         ServiceCase{"ramfs", &reference::ramfs_spec, &gen::make_ramfs_spec},
         ServiceCase{"evt", &reference::evt_spec, &gen::make_evt_spec},
-        ServiceCase{"tmr", &reference::tmr_spec, &gen::make_tmr_spec}),
-    [](const ::testing::TestParamInfo<ServiceCase>& info) { return info.param.name; });
+        ServiceCase{"tmr", &reference::tmr_spec, &gen::make_tmr_spec}));
 
-// Parameters print as the service name, so test names carry no load addresses.
 struct ReferenceCase {
   const char* name;
   InterfaceSpec (*reference)();
@@ -292,6 +295,18 @@ TEST(IdlSystemTest, SystemRunsOnIdlCompiledSpecs) {
     fs.lseek(fd, 0);
     EXPECT_EQ(fs.read(fd, 32), "idl-compiled");
   });
+}
+
+TEST(IdlSystemTest, SystemsShareOneCompiledSpecPerService) {
+  // Specs are compiled once per process: every System, whichever host thread
+  // boots it, registers the same read-only objects.
+  components::System first;
+  std::unique_ptr<components::System> second;
+  std::thread([&] { second = std::make_unique<components::System>(); }).join();
+  for (const std::string& service : first.service_names()) {
+    EXPECT_EQ(&first.coordinator().spec(service), &second->coordinator().spec(service))
+        << service;
+  }
 }
 
 // --- golden-file check: the .sgidl sources stay in sync with the repo ---------

@@ -92,6 +92,84 @@ TEST(TracerTest, OverflowEvictsOldestAndReportsDropped) {
   EXPECT_EQ(snap.events.back().a, 9);
 }
 
+// A capacity above one chunk and not a multiple of it: the ring's last chunk
+// is only partly used, and the wrap point falls mid-chunk.
+constexpr int kChunk = static_cast<int>(Tracer::kChunkEvents);
+constexpr int kChunkedCapacity = 2 * kChunk + 37;
+
+void record_numbered(Tracer& tracer, int from, int count) {
+  for (int i = from; i < from + count; ++i) {
+    tracer.record(static_cast<kernel::VirtualTime>(i), EventKind::kInvokeEnter, 1, 1, /*a=*/i);
+  }
+}
+
+// The snapshot holds exactly events [first, first + n), in seq order.
+void expect_numbered(const Tracer::Snapshot& snap, int first, int n) {
+  ASSERT_EQ(snap.events.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const auto slot = static_cast<std::size_t>(i);
+    EXPECT_EQ(snap.events[slot].a, first + i) << "slot " << i;
+    if (i > 0) {
+      EXPECT_LT(snap.events[slot - 1].seq, snap.events[slot].seq);
+    }
+  }
+}
+
+TEST(TracerTest, ChunkedRingKeepsNewestCapacityEventsAcrossWraps) {
+  Tracer tracer(kChunkedCapacity);
+  tracer.set_enabled(true);
+  // Partly into the second chunk: nothing dropped yet.
+  record_numbered(tracer, 0, kChunk + 5);
+  auto snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  expect_numbered(snap, 0, kChunk + 5);
+  // Exactly full.
+  record_numbered(tracer, kChunk + 5, kChunkedCapacity - kChunk - 5);
+  snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  expect_numbered(snap, 0, kChunkedCapacity);
+  // At least one more full wrap each time, leaving the oldest kept event in
+  // the first chunk, the second, and the partly used last one.
+  int total = kChunkedCapacity;
+  for (const int oldest_slot : {100, kChunk + 100, 2 * kChunk + 20}) {
+    const int target = total - total % kChunkedCapacity + kChunkedCapacity + oldest_slot;
+    record_numbered(tracer, total, target - total);
+    total = target;
+    snap = tracer.snapshot();
+    EXPECT_EQ(snap.dropped, static_cast<std::uint64_t>(total - kChunkedCapacity));
+    expect_numbered(snap, total - kChunkedCapacity, kChunkedCapacity);
+  }
+}
+
+TEST(TracerTest, ChunkedRingRecordsAgainAfterClearAndSetCapacity) {
+  Tracer tracer(kChunkedCapacity);
+  tracer.set_enabled(true);
+  record_numbered(tracer, 0, 3 * kChunkedCapacity + 50);  // Write position mid-ring.
+  tracer.clear();
+  auto snap = tracer.snapshot();
+  EXPECT_TRUE(snap.events.empty());
+  EXPECT_EQ(snap.dropped, 0u);
+  // Across the first chunk boundary after clear(): seq restarts at 0.
+  record_numbered(tracer, 0, kChunk + 1);
+  snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  expect_numbered(snap, 0, kChunk + 1);
+  EXPECT_EQ(snap.events.front().seq, 0u);
+
+  // A smaller capacity that is still above one chunk: contents discarded,
+  // then the new capacity holds and wraps mid-chunk.
+  const int smaller = kChunk + 3;
+  tracer.set_capacity(smaller);
+  snap = tracer.snapshot();
+  EXPECT_TRUE(snap.events.empty());
+  EXPECT_EQ(snap.dropped, 0u);
+  record_numbered(tracer, 0, smaller + 10);
+  snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 10u);
+  expect_numbered(snap, 10, smaller);
+  EXPECT_EQ(snap.events.front().seq, 10u);
+}
+
 TEST(TracerTest, DescribeAndChromeExportRenderEvents) {
   Tracer tracer;
   tracer.set_enabled(true);
