@@ -4,15 +4,23 @@
 // with (i) no fault tolerance, (ii) hand-written C3 stubs, and (iii)
 // SuperGlue stubs, and reports the mean (stdev) time per operation cycle.
 // The paper's claim: SuperGlue tracking costs about the same as C3's.
+//
+// A second table splits out two parts of every tracked call, on the ramfs
+// spec: resolving a function and the σ check, by name through the state
+// machine vs by id through the compiled runtime the stubs use.
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "c3/interface_spec.hpp"
 #include "c3/storage.hpp"
 #include "c3stubs/c3_stubs.hpp"
 #include "components/system.hpp"
+#include "idl/gen_api.hpp"
 #include "util/stats.hpp"
 
 namespace sg {
@@ -90,6 +98,52 @@ OnlineStats measure(const std::string& service, FtMode mode, int cycles) {
   return stats;
 }
 
+/// Median ns per `op(i)` over `reps` timed batches of `iters` calls.
+template <typename Op>
+double ns_per_op(Op&& op, int iters, int reps) {
+  std::vector<double> batches;
+  std::uint64_t sink = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double us = bench::time_us([&] {
+      for (int i = 0; i < iters; ++i) sink += static_cast<std::uint64_t>(op(i));
+    });
+    batches.push_back(us * 1e3 / iters);
+  }
+  volatile std::uint64_t keep = sink;
+  (void)keep;
+  return percentile(batches, 50);
+}
+
+/// Name-vs-id costs of fn lookup and the σ check on the ramfs spec, in ns:
+/// {lookup by name, lookup by id, σ by name, σ by id}.
+std::vector<double> interning_costs() {
+  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
+  const c3::CompiledRuntime& rt = spec.compiled();
+  const std::string names[] = {"tsplit", "tread", "twrite", "tlseek", "trelease"};
+  c3::FnId ids[5];
+  for (int i = 0; i < 5; ++i) ids[i] = rt.fn_id(names[i]);
+  const std::string open_state = spec.sm.state_of_fn("tread");
+  const c3::StateId open_id = rt.fn(ids[1]).next_state;
+  constexpr int kIters = 1 << 16;
+  constexpr int kReps = 31;
+  return {
+      ns_per_op([&](int i) { return rt.fn_id(names[i % 5]); }, kIters, kReps),
+      ns_per_op([&](int i) { return rt.fn(ids[i % 5]).next_state; }, kIters, kReps),
+      ns_per_op(
+          [&](int i) {
+            const std::string& fn = names[i % 5];
+            return spec.sm.valid(open_state, fn) + spec.sm.next_state(open_state, fn).size();
+          },
+          kIters, kReps),
+      ns_per_op(
+          [&](int i) {
+            const c3::FnId fn = ids[i % 5];
+            return rt.valid(open_id, fn) + rt.fn(fn).next_state;
+          },
+          kIters, kReps),
+  };
+}
+
 }  // namespace
 }  // namespace sg
 
@@ -132,13 +186,25 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("Paper's observation: SuperGlue tracking overhead is comparable to C3's\n"
-              "hand-written stubs across all six components.\n");
+              "hand-written stubs across all six components.\n\n");
+
+  const std::vector<double> ns = sg::interning_costs();
+  sg::TextTable parts;
+  parts.add_row({"Tracked-call part (ramfs)", "by name ns/op", "by id ns/op"});
+  char cells[4][32];
+  for (int i = 0; i < 4; ++i) std::snprintf(cells[i], sizeof(cells[i]), "%.1f", ns[i]);
+  parts.add_row({"fn lookup", cells[0], cells[1]});
+  parts.add_row({"sigma check (valid + next state)", cells[2], cells[3]});
+  std::printf("%s\n", parts.render().c_str());
   if (emit_json) {
     sg::bench::write_json_file(
         "BENCH_fig6a.json",
         "{\n  \"bench\": \"fig6a_tracking\",\n  \"cycles\": " + std::to_string(cycles) +
             ",\n  " + sg::bench::host_meta_json() + ",\n  \"components\": [\n" + json_rows +
-            "\n  ]\n}");
+            "\n  ],\n  \"ramfs_ns\": {\"fn_lookup_name\": " + sg::bench::json_num(ns[0]) +
+            ", \"fn_lookup_id\": " + sg::bench::json_num(ns[1]) +
+            ", \"sigma_name\": " + sg::bench::json_num(ns[2]) +
+            ", \"sigma_id\": " + sg::bench::json_num(ns[3]) + "}\n}");
   }
   return 0;
 }

@@ -54,10 +54,6 @@ ClientStub::ClientStub(kernel::Kernel& kernel, kernel::Component& client, kernel
   }
 }
 
-Value ClientStub::call(const std::string& fn_name, const Args& args) {
-  return call_id(resolve(fn_name), args);
-}
-
 FnId ClientStub::resolve(const std::string& fn) {
   const FnId id = rt_.fn_id(fn);
   SG_ASSERT_MSG(id != kNoFn, spec_.service + ": unknown interface fn " + fn);
@@ -98,8 +94,8 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
         // The server's own handler decides whether the duplicate is benign.
         if (redo == 0 && !fn.is_block() && !rt_.valid(desc->state, fn_id)) {
           ++stats_.invalid_transitions;
-          SG_DEBUG("stub", spec_.service << "." << fn.decl->name << " invalid from state "
-                                         << spec_.sm.state_name(desc->state));
+          SG_DEBUG("stub", spec_.service << "." << fn_name(fn_id) << " invalid from state "
+                                         << rt_.state_name(desc->state));
           return kernel::kErrInval;
         }
       }
@@ -121,7 +117,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
     // stale EINVAL look legitimate below.
     const int wire_epoch = kernel_.fault_epoch(server_);
     const std::uint64_t pre_seq = desc != nullptr ? desc->commit_seq : 0;
-    const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, fn.decl->name, wire);
+    const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, fn_name(fn_id), wire);
     if (res.fault) {
       ++stats_.redos;
       fault_update();
@@ -161,7 +157,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
     return res.ret;
   }
   throw kernel::SystemCrash(kernel::CrashKind::kDoubleFault, server_,
-                            spec_.service + "." + fn.decl->name + ": redo limit exceeded");
+                            spec_.service + "." + fn_name(fn_id) + ": redo limit exceeded");
 }
 
 void ClientStub::fault_update() {
@@ -250,7 +246,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
   // Replay the descriptor's own creation fn with the id hint appended
   // (stable descriptor ids).
   const FnId create = desc.created_by != kNoFn ? desc.created_by : rt_.creation_fn();
-  Args create_args = build_replay_args(rt_.fn(create), desc);
+  Args create_args = build_replay_args(create, desc);
   create_args.push_back(desc.sid());
   const Value new_sid = recovery_invoke(create, create_args);
   if (new_sid < 0) {
@@ -262,7 +258,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
 
   // sm_restore fns re-establish tracked descriptor data (e.g., tlseek).
   for (const FnId restore_fn : rt_.restore_fns()) {
-    recovery_invoke(restore_fn, build_replay_args(rt_.fn(restore_fn), desc));
+    recovery_invoke(restore_fn, build_replay_args(restore_fn, desc));
     ++stats_.walk_fns;
   }
 
@@ -271,7 +267,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
   for (const FnId walk_fn : rt_.recovery_walk(expected)) {
     const StateId next = rt_.fn(walk_fn).next_state;
     kernel_.trace(trace::EventKind::kWalkStep, server_, cur, next, desc.vid, walk_fn);
-    recovery_invoke(walk_fn, build_replay_args(rt_.fn(walk_fn), desc));
+    recovery_invoke(walk_fn, build_replay_args(walk_fn, desc));
     ++stats_.walk_fns;
     cur = next;
   }
@@ -292,11 +288,13 @@ void ClientStub::recover_subtree(TrackedDesc& desc) {
   }
 }
 
-Args ClientStub::build_replay_args(const CompiledFn& fn, const TrackedDesc& desc) {
+Args ClientStub::build_replay_args(FnId fn, const TrackedDesc& desc) {
+  const std::vector<ParamSpec>& params = spec_.fns[static_cast<std::size_t>(fn)].params;
+  const std::vector<FieldId>& fields = rt_.fn(fn).param_fields;
   Args out;
-  out.reserve(fn.decl->params.size());
-  for (std::size_t i = 0; i < fn.decl->params.size(); ++i) {
-    const ParamSpec& param = fn.decl->params[i];
+  out.reserve(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const ParamSpec& param = params[i];
     switch (param.role) {
       case ParamRole::kDesc:
         out.push_back(desc.sid());
@@ -308,13 +306,13 @@ Args ClientStub::build_replay_args(const CompiledFn& fn, const TrackedDesc& desc
         break;
       }
       case ParamRole::kDescData:
-        out.push_back(desc.field(fn.param_fields[i]));
+        out.push_back(desc.field(fields[i]));
         break;
       case ParamRole::kClientId:
         out.push_back(client_.id());
         break;
       case ParamRole::kPlain:
-        SG_ASSERT_MSG(false, spec_.service + "." + fn.decl->name + ": unreplayable plain param '" +
+        SG_ASSERT_MSG(false, spec_.service + "." + fn_name(fn) + ": unreplayable plain param '" +
                                  param.name + "' (compiler validation should have caught this)");
     }
   }
@@ -322,8 +320,7 @@ Args ClientStub::build_replay_args(const CompiledFn& fn, const TrackedDesc& desc
 }
 
 Value ClientStub::recovery_invoke(FnId fn, const Args& args) {
-  const kernel::InvokeResult res =
-      kernel_.invoke(client_.id(), server_, rt_.fn(fn).decl->name, args);
+  const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, fn_name(fn), args);
   if (res.fault) throw RecoveryFaulted{};
   return res.ret;
 }
@@ -359,10 +356,10 @@ void ClientStub::track_result(FnId fn_id, const CompiledFn& fn, const Args& args
     desc.created_by = fn_id;
     for (std::size_t i = 0; i < fn.param_fields.size(); ++i) {
       if (fn.param_fields[i] != kNoField) desc.set_field(fn.param_fields[i], args[i]);
-      if (fn.decl->params[i].role == ParamRole::kParentDesc) {
-        desc.parent_vid = args[i];
-        if (TrackedDesc* parent = table_.find(args[i])) parent->children.push_back(desc.vid);
-      }
+    }
+    if (fn.parent_idx >= 0) {
+      desc.parent_vid = args[static_cast<std::size_t>(fn.parent_idx)];
+      if (TrackedDesc* parent = table_.find(desc.parent_vid)) parent->children.push_back(desc.vid);
     }
     if (fn.ret_field != kNoField) desc.set_field(fn.ret_field, ret);
     if (records_creators_ && storage_ != nullptr) record_creator(desc);
@@ -402,7 +399,7 @@ void ClientStub::track_result(FnId fn_id, const CompiledFn& fn, const Args& args
   // call. Blocking fns always commit: being woken orders them last.
   if (!fn.is_block() && desc->commit_seq != pre_seq) {
     ++stats_.deferred_commits;
-    SG_DEBUG("stub", spec_.service << "." << fn.decl->name
+    SG_DEBUG("stub", spec_.service << "." << fn_name(fn_id)
                                    << " commit deferred to racing completion on vid "
                                    << desc->vid);
     return;

@@ -47,14 +47,10 @@ class ClientStub final : public Invoker {
   ClientStub(const ClientStub&) = delete;
   ClientStub& operator=(const ClientStub&) = delete;
 
-  /// Invokes `fn` through the fault-aware stub path (string compatibility
-  /// entry: one interned-id lookup, then call_id).
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override;
-
   /// Interns into the spec's declaration-order fn id space.
   FnId resolve(const std::string& fn) override;
 
-  /// The hot-path entry point: invokes by compiled fn id.
+  /// Invokes `fn` through the fault-aware stub path (Fig 4).
   kernel::Value call_id(FnId fn, const kernel::Args& args) override;
 
   /// CSTUB_FAULT_UPDATE: syncs the fault epoch; on change, transitions every
@@ -114,7 +110,12 @@ class ClientStub final : public Invoker {
 
   /// Builds the argument vector for replaying `fn` on `desc` from tracked
   /// state (desc/parent ids, D_dr data, client id).
-  kernel::Args build_replay_args(const CompiledFn& fn, const TrackedDesc& desc);
+  kernel::Args build_replay_args(FnId fn, const TrackedDesc& desc);
+
+  /// The declared name of `fn`, as the kernel dispatches it.
+  const std::string& fn_name(FnId fn) const {
+    return spec_.fns[static_cast<std::size_t>(fn)].name;
+  }
 
   /// Direct invocation used by recovery paths (no re-entrant tracking).
   kernel::Value recovery_invoke(FnId fn, const kernel::Args& args);
@@ -131,7 +132,7 @@ class ClientStub final : public Invoker {
   kernel::Component& client_;
   kernel::CompId server_;
   const InterfaceSpec& spec_;
-  const CompiledRuntime& rt_;  ///< spec_.compiled(), resolved once at ctor.
+  const CompiledRuntime& rt_;  ///< spec_.compiled().
   StorageComponent* storage_;  ///< Required iff the spec uses G0/G1.
   NsId storage_ns_ = kNoNs;    ///< Interned storage namespace for the service.
   bool records_creators_ = false;  ///< G_dr or XCParent: keep creator records.

@@ -6,9 +6,10 @@ namespace sg::c3 {
 
 /// Dense interned ids for the compiled interface runtime. Every name the
 /// IDL-level model speaks in — interface functions, descriptor states,
-/// tracked-data fields, storage namespaces — is interned once at
-/// finalize/compile time; the per-invocation hot path is pure integer
-/// indexing into flat tables from then on.
+/// tracked-data fields, storage namespaces — is interned once (a spec's
+/// names when InterfaceSpec::validate() builds its CompiledRuntime); the
+/// per-invocation hot path is pure integer indexing into flat tables from
+/// then on.
 using FnId = std::int32_t;     ///< Interface function (I_{d_r} member).
 using StateId = std::int32_t;  ///< Descriptor SM state (S member).
 using FieldId = std::int32_t;  ///< Tracked-data field (D_{d_r} member).

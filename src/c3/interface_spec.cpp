@@ -1,6 +1,6 @@
 #include "c3/interface_spec.hpp"
 
-#include <algorithm>
+#include <map>
 
 #include "c3/desc_track.hpp"
 #include "util/assert.hpp"
@@ -41,64 +41,6 @@ int FnSpec::parent_param() const {
   return -1;
 }
 
-InterfaceSpec::InterfaceSpec(const InterfaceSpec& other)
-    : service(other.service),
-      desc_block(other.desc_block),
-      resc_has_data(other.resc_has_data),
-      desc_is_global(other.desc_is_global),
-      parent(other.parent),
-      desc_close_children(other.desc_close_children),
-      desc_close_remove(other.desc_close_remove),
-      desc_has_data(other.desc_has_data),
-      fns(other.fns),
-      sm(other.sm) {}
-
-InterfaceSpec& InterfaceSpec::operator=(const InterfaceSpec& other) {
-  if (this == &other) return *this;
-  service = other.service;
-  desc_block = other.desc_block;
-  resc_has_data = other.resc_has_data;
-  desc_is_global = other.desc_is_global;
-  parent = other.parent;
-  desc_close_children = other.desc_close_children;
-  desc_close_remove = other.desc_close_remove;
-  desc_has_data = other.desc_has_data;
-  fns = other.fns;
-  sm = other.sm;
-  compiled_pub_.store(nullptr, std::memory_order_relaxed);
-  compiled_.reset();
-  return *this;
-}
-
-InterfaceSpec::InterfaceSpec(InterfaceSpec&& other) noexcept
-    : service(std::move(other.service)),
-      desc_block(other.desc_block),
-      resc_has_data(other.resc_has_data),
-      desc_is_global(other.desc_is_global),
-      parent(other.parent),
-      desc_close_children(other.desc_close_children),
-      desc_close_remove(other.desc_close_remove),
-      desc_has_data(other.desc_has_data),
-      fns(std::move(other.fns)),
-      sm(std::move(other.sm)) {}
-
-InterfaceSpec& InterfaceSpec::operator=(InterfaceSpec&& other) noexcept {
-  if (this == &other) return *this;
-  service = std::move(other.service);
-  desc_block = other.desc_block;
-  resc_has_data = other.resc_has_data;
-  desc_is_global = other.desc_is_global;
-  parent = other.parent;
-  desc_close_children = other.desc_close_children;
-  desc_close_remove = other.desc_close_remove;
-  desc_has_data = other.desc_has_data;
-  fns = std::move(other.fns);
-  sm = std::move(other.sm);
-  compiled_pub_.store(nullptr, std::memory_order_relaxed);
-  compiled_.reset();
-  return *this;
-}
-
 const FnSpec* InterfaceSpec::find_fn(const std::string& name) const {
   for (const auto& fn_spec : fns) {
     if (fn_spec.name == name) return &fn_spec;
@@ -121,42 +63,47 @@ const FnSpec& InterfaceSpec::creation_fn() const {
   __builtin_unreachable();
 }
 
-const CompiledRuntime& InterfaceSpec::compiled() const {
-  // Lock-free fast path: pairs with the release publish at the end of the
-  // build, so a reader that sees the pointer sees the fully-built table.
-  if (const CompiledRuntime* pub = compiled_pub_.load(std::memory_order_acquire)) {
-    return *pub;
-  }
-  std::lock_guard<std::mutex> build_guard(compile_mu_);
-  if (compiled_ != nullptr) return *compiled_;  // Lost the build race.
-  SG_ASSERT_MSG(sm.finalized(), service + ": compile before sm.finalize()");
+CompiledRuntime InterfaceSpec::compile() const {
+  CompiledRuntime rt;
 
-  auto rt = std::make_unique<CompiledRuntime>();
-  rt->live_states_ = sm.live_state_count();
-  rt->closed_state_ = sm.closed_state();
+  // State ids: s0 first, the other live states in name order, closed last.
+  std::map<std::string, StateId> state_ids;
+  auto intern_state = [&rt, &state_ids](const std::string& name) {
+    state_ids.emplace(name, static_cast<StateId>(rt.state_names_.size()));
+    rt.state_names_.push_back(name);
+  };
+  intern_state(DescStateMachine::kInitial);
+  for (const auto& state : sm.states()) {
+    if (state != DescStateMachine::kInitial) intern_state(state);
+  }
+  rt.live_states_ = rt.state_names_.size();
+  intern_state(DescStateMachine::kClosed);
 
   // Fn ids in declaration order; per-fn metadata pre-resolved.
-  rt->fns_.reserve(fns.size());
   auto intern_field = [&rt](const std::string& name) -> FieldId {
-    auto it = rt->field_ids_.find(name);
-    if (it != rt->field_ids_.end()) return it->second;
-    const FieldId id = static_cast<FieldId>(rt->field_names_.size());
-    rt->field_names_.push_back(name);
-    rt->field_ids_.emplace(name, id);
+    auto it = rt.field_ids_.find(name);
+    if (it != rt.field_ids_.end()) return it->second;
+    const FieldId id = static_cast<FieldId>(rt.field_names_.size());
+    rt.field_names_.push_back(name);
+    rt.field_ids_.emplace(name, id);
     return id;
   };
+  rt.fns_.reserve(fns.size());
   for (std::size_t i = 0; i < fns.size(); ++i) {
     const FnSpec& decl = fns[i];
-    rt->fn_ids_.emplace(decl.name, static_cast<FnId>(i));
+    rt.fn_ids_.emplace(decl.name, static_cast<FnId>(i));
+    if (rt.creation_ == kNoFn && sm.is_creation(decl.name)) rt.creation_ = static_cast<FnId>(i);
     CompiledFn cfn;
-    cfn.decl = &decl;
+    if (sm.is_creation(decl.name)) cfn.flags |= FnFlags::kCreation;
+    if (sm.is_terminal(decl.name)) cfn.flags |= FnFlags::kTerminal;
+    if (sm.is_block(decl.name)) cfn.flags |= FnFlags::kBlock;
+    if (sm.is_wakeup(decl.name)) cfn.flags |= FnFlags::kWakeup;
+    if (sm.is_consume(decl.name)) cfn.flags |= FnFlags::kConsume;
+    if (const std::string* state = sm.find_state_of_fn(decl.name)) {
+      cfn.next_state = state_ids.at(*state);
+    }
     cfn.desc_idx = decl.desc_param();
     cfn.parent_idx = decl.parent_param();
-    const FnId sm_fn = sm.fn_id(decl.name);
-    if (sm_fn != kNoFn) {
-      cfn.flags = sm.fn_flags(sm_fn);
-      cfn.next_state = sm.next_state_id(sm_fn);
-    }
     cfn.param_fields.reserve(decl.params.size());
     for (const auto& param : decl.params) {
       cfn.param_fields.push_back(param.role == ParamRole::kDescData ? intern_field(param.name)
@@ -166,49 +113,31 @@ const CompiledRuntime& InterfaceSpec::compiled() const {
       cfn.ret_field = intern_field(decl.ret_data_name);
     }
     if (decl.ret_adds_to.has_value()) cfn.ret_add_field = intern_field(*decl.ret_adds_to);
-    rt->fns_.push_back(std::move(cfn));
+    rt.fns_.push_back(std::move(cfn));
   }
-  SG_ASSERT_MSG(rt->field_names_.size() <= TrackedDesc::kMaxFields,
+  SG_ASSERT_MSG(rt.field_names_.size() <= TrackedDesc::kMaxFields,
                 service + ": too many tracked D_dr fields for TrackedDesc");
 
-  for (std::size_t i = 0; i < fns.size(); ++i) {
-    if (sm.is_creation(fns[i].name)) {
-      rt->creation_ = static_cast<FnId>(i);
-      break;
+  // σ-validity matrix, recovery walks and restore list over those ids.
+  auto fn_ids = [this, &rt](const std::vector<std::string>& names) {
+    std::vector<FnId> ids;
+    for (const auto& name : names) {
+      ids.push_back(rt.fn_id(name));
+      SG_ASSERT_MSG(ids.back() != kNoFn, service + ": sm fn " + name + " not in fn list");
     }
-  }
-
-  // Validity matrix re-indexed from the machine's fn id space into
-  // declaration order.
-  rt->valid_.assign(rt->live_states_ * fns.size(), 0);
-  for (std::size_t s = 0; s < rt->live_states_; ++s) {
-    for (std::size_t f = 0; f < fns.size(); ++f) {
-      const FnId sm_fn = sm.fn_id(fns[f].name);
-      if (sm_fn != kNoFn && sm.valid(static_cast<StateId>(s), sm_fn)) {
-        rt->valid_[s * fns.size() + f] = 1;
-      }
-    }
-  }
-
-  // Recovery walks and restore list, translated into declaration-order ids.
-  auto to_decl_id = [this, &rt](FnId sm_fn) -> FnId {
-    const FnId id = rt->fn_id(sm.fn_name(sm_fn));
-    SG_ASSERT_MSG(id != kNoFn, service + ": sm fn " + sm.fn_name(sm_fn) + " not in fn list");
-    return id;
+    return ids;
   };
-  rt->walks_.resize(rt->live_states_);
-  rt->walk_lands_.resize(rt->live_states_);
-  for (std::size_t s = 0; s < rt->live_states_; ++s) {
-    for (const FnId sm_fn : sm.recovery_walk_ids(static_cast<StateId>(s))) {
-      rt->walks_[s].push_back(to_decl_id(sm_fn));
+  rt.valid_.assign(rt.live_states_ * fns.size(), 0);
+  for (std::size_t s = 0; s < rt.live_states_; ++s) {
+    const std::string& state = rt.state_names_[s];
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+      rt.valid_[s * fns.size() + f] = sm.valid(state, fns[f].name) ? 1 : 0;
     }
-    rt->walk_lands_[s] = sm.reached_state_id(static_cast<StateId>(s));
+    rt.walks_.push_back(fn_ids(sm.recovery_walk(state)));
+    rt.walk_lands_.push_back(state_ids.at(sm.reached_state(state)));
   }
-  for (const FnId sm_fn : sm.restore_fn_ids()) rt->restore_.push_back(to_decl_id(sm_fn));
-
-  compiled_ = std::move(rt);
-  compiled_pub_.store(compiled_.get(), std::memory_order_release);
-  return *compiled_;
+  rt.restore_ = fn_ids(sm.restore_fns());
+  return rt;
 }
 
 MechanismSet InterfaceSpec::mechanisms() const {
@@ -222,7 +151,7 @@ MechanismSet InterfaceSpec::mechanisms() const {
   return set;
 }
 
-void InterfaceSpec::validate() const {
+void InterfaceSpec::validate() {
   SG_ASSERT_MSG(!service.empty(), "interface spec without a service name");
   SG_ASSERT_MSG(sm.finalized(), service + ": state machine not finalized");
 
@@ -288,9 +217,9 @@ void InterfaceSpec::validate() const {
     for (const auto& walk_fn : sm.recovery_walk(state)) check_replayable(fn(walk_fn));
   }
 
-  // Building the compiled runtime enforces the remaining interning limits
-  // (e.g. D_dr must fit TrackedDesc's fixed field array).
-  (void)compiled();
+  // Interning enforces the remaining limits (e.g. D_dr must fit
+  // TrackedDesc's fixed field array).
+  runtime_ = compile();
 }
 
 }  // namespace sg::c3

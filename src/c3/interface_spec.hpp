@@ -1,8 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -11,6 +8,7 @@
 #include "c3/ids.hpp"
 #include "c3/mechanism.hpp"
 #include "c3/state_machine.hpp"
+#include "util/assert.hpp"
 
 namespace sg::c3 {
 
@@ -60,9 +58,9 @@ const char* to_string(ParentKind kind);
 
 /// Per-function record of the compiled runtime: everything the stub engine
 /// needs on the hot path, pre-resolved into dense ids and indexes so one
-/// invocation costs array loads instead of string map lookups.
+/// invocation costs array loads instead of string map lookups. The
+/// declaration itself is `InterfaceSpec::fns[id]`.
 struct CompiledFn {
-  const FnSpec* decl = nullptr;
   std::uint8_t flags = 0;              ///< FnFlags bits from the state machine.
   int desc_idx = -1;                   ///< Index of the kDesc param, or -1.
   int parent_idx = -1;                 ///< Index of the kParentDesc param, or -1.
@@ -76,12 +74,13 @@ struct CompiledFn {
   bool is_block() const { return (flags & FnFlags::kBlock) != 0; }
 };
 
-/// The interned, flat-table form of an InterfaceSpec, built once (lazily) per
-/// spec. Fn ids are the *declaration order* of `InterfaceSpec::fns` — stable
-/// for a given spec source and the id space the generated stubs and typed
-/// clients compile against. Field ids are assigned in first-declaration
-/// order across the fns. State ids are shared with the spec's
-/// DescStateMachine (s0 == kStateInitial == 0).
+/// The interned, flat-table form of an InterfaceSpec: the one place where
+/// the interface's names become ids, built by `InterfaceSpec::validate()`.
+/// Fn ids are the *declaration order* of `InterfaceSpec::fns` — the id space
+/// the generated stubs and typed clients compile against. State ids put s0
+/// first (kStateInitial == 0), the other live states in name order, and the
+/// closed pseudo-state last. Field ids are assigned in first-declaration
+/// order across the fns.
 class CompiledRuntime {
  public:
   FnId fn_id(const std::string& name) const {
@@ -100,9 +99,18 @@ class CompiledRuntime {
   }
   std::size_t field_count() const { return field_names_.size(); }
 
-  /// σ-validity of `fn` out of `state`, over the dense matrix.
+  /// The state machine's name for `state` (closed_state() included).
+  const std::string& state_name(StateId state) const {
+    return state_names_[static_cast<std::size_t>(state)];
+  }
+
+  /// σ-validity of `fn` out of `state`, over the dense matrix; false for
+  /// any id outside it.
   bool valid(StateId state, FnId fn) const {
-    if (state < 0 || state >= static_cast<StateId>(live_states_) || fn < 0) return false;
+    if (state < 0 || state >= closed_state() || fn < 0 ||
+        fn >= static_cast<FnId>(fns_.size())) {
+      return false;
+    }
     return valid_[static_cast<std::size_t>(state) * fns_.size() +
                   static_cast<std::size_t>(fn)] != 0;
   }
@@ -115,7 +123,7 @@ class CompiledRuntime {
   const std::vector<FnId>& restore_fns() const { return restore_; }
   FnId creation_fn() const { return creation_; }
   std::size_t live_state_count() const { return live_states_; }
-  StateId closed_state() const { return closed_state_; }
+  StateId closed_state() const { return static_cast<StateId>(live_states_); }
 
  private:
   friend struct InterfaceSpec;
@@ -124,13 +132,13 @@ class CompiledRuntime {
   std::unordered_map<std::string, FnId> fn_ids_;
   std::vector<std::string> field_names_;
   std::unordered_map<std::string, FieldId> field_ids_;
-  std::vector<std::uint8_t> valid_;  ///< live_states × fns.
+  std::vector<std::string> state_names_;  ///< Live states, then closed.
+  std::vector<std::uint8_t> valid_;       ///< live_states × fns.
   std::vector<std::vector<FnId>> walks_;
   std::vector<StateId> walk_lands_;
   std::vector<FnId> restore_;
   FnId creation_ = kNoFn;
   std::size_t live_states_ = 0;
-  StateId closed_state_ = kNoState;
 };
 
 /// The full compiled interface description: the descriptor-resource model
@@ -152,27 +160,18 @@ struct InterfaceSpec {
   std::vector<FnSpec> fns;
   DescStateMachine sm;
 
-  InterfaceSpec() = default;
-  // Copies/moves drop the compiled-runtime cache: it holds pointers into the
-  // source spec's `fns` and is rebuilt on first use by the new owner.
-  InterfaceSpec(const InterfaceSpec& other);
-  InterfaceSpec& operator=(const InterfaceSpec& other);
-  InterfaceSpec(InterfaceSpec&& other) noexcept;
-  InterfaceSpec& operator=(InterfaceSpec&& other) noexcept;
-
   const FnSpec* find_fn(const std::string& name) const;
   const FnSpec& fn(const std::string& name) const;
 
   /// The single creation fn used for replay (first sm_creation fn declared).
   const FnSpec& creation_fn() const;
 
-  /// The interned runtime, built on first use. The steady-state read is a
-  /// single lock-free acquire-load (the invocation hot path at cores>1);
-  /// only the one-time build takes a mutex, and a concurrent reader either
-  /// sees the published table or briefly waits for the builder.
-  const CompiledRuntime& compiled() const;
-  /// Declaration-order fn id, kNoFn if unknown.
-  FnId fn_id(const std::string& name) const { return compiled().fn_id(name); }
+  /// The interned runtime validate() built. A spec changed after validate()
+  /// must be validated again.
+  const CompiledRuntime& compiled() const {
+    SG_ASSERT_MSG(runtime_.live_state_count() != 0, service + ": compiled() before validate()");
+    return runtime_;
+  }
   /// Tracked-data field id, kNoField if unknown.
   FieldId field_id(const std::string& name) const { return compiled().field_id(name); }
 
@@ -189,13 +188,14 @@ struct InterfaceSpec {
   ///  - replayability: every param of every creation/walk/restore fn is
   ///    derivable at recovery time (desc, parent, tracked data, client id)
   ///  - D_dr fits the fixed per-descriptor field array (TrackedDesc).
-  void validate() const;
+  /// Then interns the spec into the runtime compiled() returns.
+  void validate();
 
  private:
-  mutable std::unique_ptr<CompiledRuntime> compiled_;
-  /// Lock-free fast-path view of compiled_ (release-published after build).
-  mutable std::atomic<const CompiledRuntime*> compiled_pub_{nullptr};
-  mutable std::mutex compile_mu_;  ///< Serializes the one-time build only.
+  /// Interns this (validated) spec.
+  CompiledRuntime compile() const;
+
+  CompiledRuntime runtime_;
 };
 
 }  // namespace sg::c3

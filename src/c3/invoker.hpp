@@ -16,44 +16,38 @@ namespace sg::c3 {
 ///
 /// Callers resolve each function name once (`resolve`) and invoke by the
 /// returned dense id (`call_id`) from then on, keeping string hashing off
-/// the per-invocation path. The string `call` remains as a compatibility
-/// entry point; the base-class defaults below let an implementation override
-/// only `call` and still serve id-based callers.
+/// the per-invocation path.
 class Invoker {
  public:
   virtual ~Invoker() = default;
-  virtual kernel::Value call(const std::string& fn, const kernel::Args& args) = 0;
 
-  /// Interns `fn` into this invoker's id space. The default keeps a private
-  /// name table so call_id can forward to the string path; stub
-  /// implementations override this with their compiled interface ids.
-  virtual FnId resolve(const std::string& fn) {
-    for (std::size_t i = 0; i < resolved_names_.size(); ++i) {
-      if (resolved_names_[i] == fn) return static_cast<FnId>(i);
-    }
-    resolved_names_.push_back(fn);
-    return static_cast<FnId>(resolved_names_.size() - 1);
-  }
+  /// Interns `fn` into this invoker's id space.
+  virtual FnId resolve(const std::string& fn) = 0;
 
   /// Invokes by interned id. `id` must come from this invoker's resolve().
-  virtual kernel::Value call_id(FnId id, const kernel::Args& args) {
-    return call(resolved_names_[static_cast<std::size_t>(id)], args);
-  }
-
- private:
-  std::vector<std::string> resolved_names_;
+  virtual kernel::Value call_id(FnId id, const kernel::Args& args) = 0;
 };
 
 /// Direct kernel invocation with no tracking and no recovery. A server fault
 /// surfaces as a plain error return (the system would normally have to
-/// reboot); used as the "COMPOSITE without C3/SuperGlue" baseline.
+/// reboot); used as the "COMPOSITE without C3/SuperGlue" baseline. Its ids
+/// index a private table of the names the kernel dispatches on.
 class PassthroughInvoker final : public Invoker {
  public:
   PassthroughInvoker(kernel::Kernel& kernel, kernel::CompId client, kernel::CompId server)
       : kernel_(kernel), client_(client), server_(server) {}
 
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override {
-    const kernel::InvokeResult res = kernel_.invoke(client_, server_, fn, args);
+  FnId resolve(const std::string& fn) override {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == fn) return static_cast<FnId>(i);
+    }
+    names_.push_back(fn);
+    return static_cast<FnId>(names_.size() - 1);
+  }
+
+  kernel::Value call_id(FnId id, const kernel::Args& args) override {
+    const kernel::InvokeResult res =
+        kernel_.invoke(client_, server_, names_[static_cast<std::size_t>(id)], args);
     return res.fault ? kernel::kErrAgain : res.ret;
   }
 
@@ -61,6 +55,7 @@ class PassthroughInvoker final : public Invoker {
   kernel::Kernel& kernel_;
   kernel::CompId client_;
   kernel::CompId server_;
+  std::vector<std::string> names_;
 };
 
 }  // namespace sg::c3

@@ -1,12 +1,9 @@
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
-
-#include "c3/ids.hpp"
 
 namespace sg::c3 {
 
@@ -26,11 +23,8 @@ namespace sg::c3 {
 /// replayed right after creation whenever the descriptor is live, restoring
 /// tracked descriptor data (e.g., tlseek restores the file offset).
 ///
-/// finalize() also *interns* the machine: every function and state name gets
-/// a dense id, and σ, validity, and the recovery walks become flat
-/// id-indexed tables. The string-keyed query API below is a compatibility
-/// shim over those tables — hot paths (the stub engine, the compiled
-/// InterfaceSpec runtime) use the id API exclusively.
+/// The machine speaks only in names. The owning InterfaceSpec interns it
+/// into dense ids once, in its CompiledRuntime, which the stub engine uses.
 class DescStateMachine {
  public:
   /// Well-known state names.
@@ -64,45 +58,12 @@ class DescStateMachine {
   bool is_wakeup(const std::string& fn) const { return wakeup_.count(fn) != 0; }
   bool is_consume(const std::string& fn) const { return consume_.count(fn) != 0; }
 
-  /// Infers the state set, merges equivalent states, precomputes the
-  /// shortest recovery walks, and interns everything into dense id-indexed
-  /// tables. Must be called once before query methods; throws
-  /// sg::AssertionError on an inconsistent machine (e.g., a terminal
+  /// Infers the state set, merges equivalent states, and precomputes the
+  /// shortest recovery walks. Must be called once before query methods;
+  /// throws sg::AssertionError on an inconsistent machine (e.g., a terminal
   /// function that is also a creation function).
   void finalize();
   bool finalized() const { return finalized_; }
-
-  // --- interned id API (hot path) ------------------------------------------
-  // Fn ids are assigned in sorted-name order over every function the machine
-  // mentions; state ids put s0 first (kStateInitial == 0), the remaining
-  // live states in sorted order, and the closed pseudo-state last. Both
-  // assignments are deterministic, so identical machines built from any spec
-  // source (hand-written, sgidlc-generated, IDL-parsed) intern identically.
-
-  FnId fn_id(const std::string& fn) const;  ///< kNoFn when unknown.
-  const std::string& fn_name(FnId id) const;
-  std::size_t fn_count() const { require_finalized(); return fn_names_.size(); }
-  std::uint8_t fn_flags(FnId id) const;
-
-  StateId state_id(const std::string& state) const;  ///< kNoState when unknown.
-  const std::string& state_name(StateId id) const;
-  StateId closed_state() const { require_finalized(); return closed_state_; }
-  /// Number of live states (excluding sf/closed) — the |S| of Eq. (2).
-  std::size_t live_state_count() const;
-
-  /// Fault-detection half in id space: σ-validity of `fn` out of `state`.
-  bool valid(StateId state, FnId fn) const;
-  /// σ(·, fn): the state a descriptor enters when `fn` completes (the
-  /// machine's states are "after f" classes, so σ depends only on the fn).
-  /// closed_state() for terminal fns.
-  StateId next_state_id(FnId fn) const;
-  /// Precomputed R0 walk from s0 to `state`, as interface fn ids.
-  const std::vector<FnId>& recovery_walk_ids(StateId state) const;
-  /// Where recovery_walk_ids(state) actually lands.
-  StateId reached_state_id(StateId state) const;
-  const std::vector<FnId>& restore_fn_ids() const { require_finalized(); return restore_ids_; }
-
-  // --- string compatibility API (cold path: tests, codegen, diagnostics) ---
 
   /// σ(state, fn): the state a descriptor enters when `fn` completes on it.
   /// Returns kClosed for terminal fns. Precondition: valid(state, fn).
@@ -112,9 +73,6 @@ class DescStateMachine {
   /// legal transition out of `state`? Creation fns are only valid "before"
   /// a descriptor exists and are checked separately.
   bool valid(const std::string& state, const std::string& fn) const;
-
-  /// State a freshly created descriptor is in after `create_fn` returns.
-  std::string state_after_creation(const std::string& create_fn) const;
 
   /// The precomputed R0 walk: the (possibly empty) sequence of non-blocking
   /// interface functions that transits a *recreated* descriptor (already
@@ -133,13 +91,23 @@ class DescStateMachine {
 
   /// The merged state name that executing `fn` leads to.
   const std::string& state_of_fn(const std::string& fn) const;
+  /// state_of_fn, or nullptr for a fn that leads to no state (unknown to
+  /// the machine, or only marked block/wakeup/consume/restore).
+  const std::string* find_state_of_fn(const std::string& fn) const;
 
   /// Number of states (excluding sf/closed) — the |S| of Eq. (2).
-  std::size_t state_count() const { return live_state_count(); }
+  std::size_t state_count() const;
 
  private:
+  /// A live state: the fns σ-valid out of it and its R0 walk.
+  struct LiveState {
+    std::set<std::string> valid_fns;
+    std::vector<std::string> walk;
+    std::string walk_land = kInitial;
+  };
+
   void require_finalized() const;
-  FnId require_fn(const std::string& fn) const;
+  const LiveState& live_state(const std::string& state) const;
 
   // Build inputs (retained for the *_fns() accessors and codegen).
   std::set<std::string> creation_;
@@ -152,19 +120,9 @@ class DescStateMachine {
 
   bool finalized_ = false;
 
-  // Interned tables, built by finalize(). All queries are served from these.
-  std::vector<std::string> fn_names_;          ///< FnId -> name (sorted assignment).
-  std::map<std::string, FnId> fn_ids_;         ///< name -> FnId.
-  std::vector<std::uint8_t> fn_flags_;         ///< FnId -> FnFlags bits.
-  std::vector<StateId> fn_state_;              ///< FnId -> σ target ("after fn" class).
-  std::vector<std::string> state_names_;       ///< StateId -> name; s0 first, closed last.
-  std::map<std::string, StateId> state_ids_;   ///< name -> StateId.
-  StateId closed_state_ = kNoState;
-  std::vector<std::uint8_t> valid_;            ///< live_states × fns validity matrix.
-  std::vector<std::vector<FnId>> walk_ids_;    ///< Per live state: R0 walk as fn ids.
-  std::vector<StateId> walk_lands_;            ///< Per live state: where the walk lands.
-  std::vector<std::vector<std::string>> walk_names_;  ///< String shim of walk_ids_.
-  std::vector<FnId> restore_ids_;
+  // Built by finalize().
+  std::map<std::string, std::string> fn_state_;  ///< σ: fn -> state it leads to.
+  std::map<std::string, LiveState> live_;        ///< Live states by name (s0 included).
 };
 
 }  // namespace sg::c3

@@ -18,9 +18,8 @@ namespace sg::c3stubs {
 /// each per-service stub; only the invoke/epoch mechanics are common.
 ///
 /// Each stub declares its interface functions once (in ctor order); the
-/// resulting table indices are the stub's FnIds, so the hot entry point is
-/// `call_id` with a switch on a dense enum. The string `call` entry is a
-/// compatibility shim: one table scan to resolve, then the id path.
+/// resulting table indices are the stub's FnIds, so the entry point is
+/// `call_id` with a switch on a dense enum.
 class C3StubBase : public c3::Invoker {
  public:
   /// Interns `fn` into this stub's fixed fn table (ids == table indices).
@@ -30,11 +29,6 @@ class C3StubBase : public c3::Invoker {
     }
     SG_ASSERT_MSG(false, "c3 stub: unknown fn " + fn);
     __builtin_unreachable();
-  }
-
-  /// String compatibility entry: resolve once, then dispatch by id.
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override {
-    return call_id(resolve(fn), args);
   }
 
   /// The per-service dispatch switch; every manual stub implements this.

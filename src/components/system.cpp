@@ -25,25 +25,17 @@ namespace {
 
 using SpecPtr = std::shared_ptr<const c3::InterfaceSpec>;
 
-SpecPtr compile_once(c3::InterfaceSpec (*make)()) {
-  auto spec = std::make_shared<const c3::InterfaceSpec>(make());
-  spec->validate();
-  // Compile the shared object itself: moving a spec drops its compiled cache.
-  spec->compiled();
-  return spec;
-}
-
-/// The IDL compiler's output for idl/<service>.sgidl (§IV), built, validated
-/// and compiled when the first System boots, then shared read-only by every
-/// System in the process, as SuperGlue's stubs are compiled once at build
-/// time.
+/// The IDL compiler's output for idl/<service>.sgidl (§IV), built (which
+/// validates and compiles it) when the first System boots, then shared
+/// read-only by every System in the process, as SuperGlue's stubs are
+/// compiled once at build time.
 struct GeneratedSpecs {
-  SpecPtr sched = compile_once(gen::make_sched_spec);
-  SpecPtr lock = compile_once(gen::make_lock_spec);
-  SpecPtr mman = compile_once(gen::make_mman_spec);
-  SpecPtr ramfs = compile_once(gen::make_ramfs_spec);
-  SpecPtr evt = compile_once(gen::make_evt_spec);
-  SpecPtr tmr = compile_once(gen::make_tmr_spec);
+  SpecPtr sched = std::make_shared<const c3::InterfaceSpec>(gen::make_sched_spec());
+  SpecPtr lock = std::make_shared<const c3::InterfaceSpec>(gen::make_lock_spec());
+  SpecPtr mman = std::make_shared<const c3::InterfaceSpec>(gen::make_mman_spec());
+  SpecPtr ramfs = std::make_shared<const c3::InterfaceSpec>(gen::make_ramfs_spec());
+  SpecPtr evt = std::make_shared<const c3::InterfaceSpec>(gen::make_evt_spec());
+  SpecPtr tmr = std::make_shared<const c3::InterfaceSpec>(gen::make_tmr_spec());
 };
 
 }  // namespace

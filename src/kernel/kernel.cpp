@@ -245,7 +245,7 @@ bool Kernel::ranks_before_locked(const SimThread& a, const SimThread& b) const {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: per-core dispatch, occupancy, recovery token
+// Kernel: per-core dispatch, occupancy, recovery domains
 // ---------------------------------------------------------------------------
 
 bool Kernel::occ_free_locked(CompId comp, ThreadId me) const {
@@ -687,54 +687,6 @@ void Kernel::release_recovery_domain() {
   active_recoveries_.erase(it);
   wake_token_waiters_locked();
 }
-
-void Kernel::acquire_recovery_token() {
-  std::unique_lock<std::mutex> lock(mtx_);
-  if (ncores_ == 1) return;  // The single-runner handoff already serializes.
-  SimThread* self = self_if_running();
-  const ThreadId me = self != nullptr ? self->id : kRootOwner;
-  auto it = active_recoveries_.find(me);
-  if (it != active_recoveries_.end()) {
-    // Re-entrant: a machine take mid-recovery upgrades the held domain.
-    if (!it->second.machine) machine_upgrade_locked(lock, me, kNoComp, kEscalateToken);
-    ++active_recoveries_.at(me).depth;
-    return;
-  }
-  while (machine_held_ || !active_recoveries_.empty()) {
-    if (self != nullptr && !shutdown_) {
-      self->token_wait = true;
-      self->state = ThreadState::kBlocked;
-      try {
-        reschedule_and_wait_locked(lock, *self);
-      } catch (...) {
-        self->token_wait = false;
-        throw;
-      }
-      self->token_wait = false;
-    } else {
-      cv_.wait(lock, [&] { return (!machine_held_ && active_recoveries_.empty()) || shutdown_; });
-      if (shutdown_ && (machine_held_ || !active_recoveries_.empty())) {
-        return;  // Teardown: owners may never release.
-      }
-    }
-  }
-  ActiveRecovery rec;
-  rec.depth = 1;
-  rec.seq = ++recovery_seq_counter_;
-  rec.machine = true;
-  machine_held_ = true;
-  machine_owner_ = me;
-  const std::uint64_t seq = rec.seq;
-  active_recoveries_.emplace(me, std::move(rec));
-  if (static_cast<int>(active_recoveries_.size()) > max_concurrent_recoveries_) {
-    max_concurrent_recoveries_ = static_cast<int>(active_recoveries_.size());
-  }
-  trace(trace::EventKind::kDomainAcquire, kNoComp, 0,
-        static_cast<std::int32_t>(active_recoveries_.size()), me,
-        static_cast<std::int64_t>(seq));
-}
-
-void Kernel::release_recovery_token() { release_recovery_domain(); }
 
 void Kernel::escalate_recovery_to_machine(std::int32_t reason) {
   std::unique_lock<std::mutex> lock(mtx_);
@@ -1208,13 +1160,13 @@ bool Kernel::wakeup(ThreadId target_id, bool recovery_wake) {
     return false;
   }
   if (target.occ_wait != kNoComp || target.token_wait) {
-    // Blocked in a kernel-internal wait (occupancy admission or the recovery
-    // token), not in a wakeup-consuming block. Those waits ignore
+    // Blocked in a kernel-internal wait (occupancy admission or a recovery
+    // domain), not in a wakeup-consuming block. Those waits ignore
     // woken_explicitly, so delivering here would silently drop the wakeup
     // (cores > 1 only: a single-runner kernel never contends occupancy).
     // Latch genuine wakes for the thread's next real block; recovery wakes
     // are spurious and the internal wait has its own unblock path
-    // (occupancy release / token grant).
+    // (occupancy release / domain grant).
     if (!recovery_wake) target.banked_wakeup = true;
     return false;
   }

@@ -161,24 +161,6 @@ class Kernel {
   /// concurrent test suite use this to prove parallel execution happened.
   int max_concurrent_running() const;
 
-  /// The whole-machine recovery token. Acquiring it waits for every active
-  /// recovery domain to drain and then excludes new domains until release —
-  /// the escalation target for cross-domain operations (supervisor readmit,
-  /// group reboots crossing domains, storage rebuilds). Re-entrant. At
-  /// cores=1 it is a no-op: the single-runner handoff already serializes.
-  void acquire_recovery_token();
-  void release_recovery_token();
-  class RecoveryLock {
-   public:
-    explicit RecoveryLock(Kernel& k) : k_(k) { k_.acquire_recovery_token(); }
-    ~RecoveryLock() { k_.release_recovery_token(); }
-    RecoveryLock(const RecoveryLock&) = delete;
-    RecoveryLock& operator=(const RecoveryLock&) = delete;
-
-   private:
-    Kernel& k_;
-  };
-
   /// True when the calling context may touch recovery-policy state: either
   /// cores()==1 (globally serialized) or the caller holds an active recovery
   /// domain (scoped or machine-wide). Supervisor membership checks
@@ -217,13 +199,13 @@ class Kernel {
     Kernel& k_;
   };
 
-  /// kDomainEscalate reason codes (the event's `a` payload).
+  /// kDomainEscalate reason codes (the event's `a` payload). The values are
+  /// stable trace codes; 4 is unused.
   enum : std::int32_t {
     kEscalateOverlap = 0,       ///< Fresh fault's closure overlaps an active domain.
     kEscalateGroupReboot = 1,   ///< Supervisor group reboot.
     kEscalateQuarantine = 2,    ///< Supervisor quarantine.
     kEscalateNestedFault = 3,   ///< Nested fault outside the held closure.
-    kEscalateToken = 4,         ///< Machine token taken mid-recovery.
     kEscalateStorageRebuild = 5 ///< Coordinator G0 storage rebuild.
   };
 
@@ -233,7 +215,7 @@ class Kernel {
   /// waiting to escalate (lowest acquisition seq wins, so the wait is
   /// deadlock-free). Re-entrant; a no-op at cores=1 or when the caller
   /// already holds the machine.
-  void escalate_recovery_to_machine(std::int32_t reason = kEscalateToken);
+  void escalate_recovery_to_machine(std::int32_t reason);
 
   /// Trace-proven high-water mark of simultaneously active recovery domains
   /// (mirrors max_concurrent_running): 1 whenever any fault was vectored at
@@ -432,7 +414,7 @@ class Kernel {
     /// Component this thread is blocked waiting to *occupy* (cores>1 invoke
     /// handoff / reboot seize); the dispatcher acquires it on our behalf.
     CompId occ_wait = kNoComp;
-    bool token_wait = false;  ///< Blocked waiting for the recovery token.
+    bool token_wait = false;  ///< Blocked acquiring or escalating a recovery domain.
     std::thread host;
   };
 

@@ -23,14 +23,19 @@ SystemConfig sg_config() {
   return config;
 }
 
+/// Resolves `fn` and invokes it through the stub's fault-aware path.
+Value call(c3::ClientStub& stub, const std::string& fn, const kernel::Args& args) {
+  return stub.call_id(stub.resolve(fn), args);
+}
+
 TEST(ClientStubTest, StatsCountTrackingAndRecovery) {
   System sys(sg_config());
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
-    stub.call("lock_release", {app.id(), id});
+    const Value id = call(stub, "lock_alloc", {app.id()});
+    call(stub, "lock_take", {app.id(), id, sys.kernel().current_thread()});
+    call(stub, "lock_release", {app.id(), id});
 
     const auto& stats = stub.stats();
     EXPECT_EQ(stats.calls, 3u);
@@ -39,7 +44,7 @@ TEST(ClientStubTest, StatsCountTrackingAndRecovery) {
     EXPECT_EQ(stats.recoveries, 0u);
 
     sys.kernel().inject_crash(sys.lock().id());
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
+    call(stub, "lock_take", {app.id(), id, sys.kernel().current_thread()});
     EXPECT_EQ(stub.stats().recoveries, 1u);
     EXPECT_GE(stub.stats().walk_fns, 0u);
   });
@@ -50,10 +55,10 @@ TEST(ClientStubTest, InvalidTransitionIsDetected) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
+    const Value id = call(stub, "lock_alloc", {app.id()});
     // Releasing a lock that was never taken: invalid from s0 — the state
     // machine's fault-detection half rejects it client-side (§III-B).
-    EXPECT_EQ(stub.call("lock_release", {app.id(), id}), kernel::kErrInval);
+    EXPECT_EQ(call(stub, "lock_release", {app.id(), id}), kernel::kErrInval);
     EXPECT_EQ(stub.stats().invalid_transitions, 1u);
   });
 }
@@ -63,15 +68,15 @@ TEST(ClientStubTest, DescriptorStateFollowsCompletionOrder) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
+    const Value id = call(stub, "lock_alloc", {app.id()});
     const auto* desc = stub.table().find(id);
     ASSERT_NE(desc, nullptr);
     EXPECT_EQ(desc->state, c3::kStateInitial);
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
-    EXPECT_EQ(stub.table().find(id)->state, stub.spec().sm.state_id("after_lock_take"));
-    stub.call("lock_release", {app.id(), id});
+    call(stub, "lock_take", {app.id(), id, sys.kernel().current_thread()});
+    EXPECT_EQ(stub.spec().compiled().state_name(stub.table().find(id)->state), "after_lock_take");
+    call(stub, "lock_release", {app.id(), id});
     EXPECT_EQ(stub.table().find(id)->state, c3::kStateInitial);
-    stub.call("lock_free", {app.id(), id});
+    call(stub, "lock_free", {app.id(), id});
     EXPECT_EQ(stub.table().find(id), nullptr);  // Terminal removes tracking.
   });
 }
@@ -81,7 +86,7 @@ TEST(ClientStubTest, FailedCreationIsNotTracked) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "tmr");
-    const Value bad = stub.call("tmr_setup", {app.id(), /*period=*/-5});
+    const Value bad = call(stub, "tmr_setup", {app.id(), /*period=*/-5});
     EXPECT_LT(bad, 0);
     EXPECT_EQ(stub.table().size(), 0u);
     EXPECT_EQ(stub.stats().tracked_creates, 0u);
@@ -93,11 +98,11 @@ TEST(ClientStubTest, ErrorReturnsDoNotTransitionState) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "ramfs");
-    const Value fd = stub.call("tsplit", {app.id(), 0, 777});
+    const Value fd = call(stub, "tsplit", {app.id(), 0, 777});
     const c3::StateId before = stub.table().find(fd)->state;
     const c3::FieldId offset = stub.spec().field_id("offset");
     ASSERT_NE(offset, c3::kNoField);
-    EXPECT_EQ(stub.call("tlseek", {app.id(), fd, -1}), kernel::kErrInval);
+    EXPECT_EQ(call(stub, "tlseek", {app.id(), fd, -1}), kernel::kErrInval);
     EXPECT_EQ(stub.table().find(fd)->state, before);
     EXPECT_FALSE(stub.table().find(fd)->has_field(offset));
   });
@@ -111,7 +116,7 @@ TEST(ClientStubTest, SeparateClientsHaveSeparateTables) {
     auto& stub_a = sys.coordinator().client_stub(app_a, "lock");
     auto& stub_b = sys.coordinator().client_stub(app_b, "lock");
     EXPECT_NE(&stub_a, &stub_b);
-    stub_a.call("lock_alloc", {app_a.id()});
+    call(stub_a, "lock_alloc", {app_a.id()});
     EXPECT_EQ(stub_a.table().size(), 1u);
     EXPECT_EQ(stub_b.table().size(), 0u);
   });
@@ -122,7 +127,7 @@ TEST(ClientStubTest, RecreateByVidServesUpcalls) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "evt");
-    const Value evtid = stub.call("evt_split", {app.id(), 0, 0});
+    const Value evtid = call(stub, "evt_split", {app.id(), 0, 0});
     sys.kernel().inject_crash(sys.evt().id());
     EXPECT_FALSE(sys.evt().event_exists(evtid));
     EXPECT_EQ(stub.recreate_by_vid(evtid), kernel::kOk);
@@ -156,7 +161,7 @@ TEST(ClientStubTest, EagerRecoverAllRestoresEverything) {
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
     std::vector<Value> ids;
-    for (int i = 0; i < 5; ++i) ids.push_back(stub.call("lock_alloc", {app.id()}));
+    for (int i = 0; i < 5; ++i) ids.push_back(call(stub, "lock_alloc", {app.id()}));
     sys.kernel().inject_crash(sys.lock().id());
     EXPECT_EQ(sys.lock().lock_count(), 0u);
     stub.recover_all();
@@ -172,8 +177,8 @@ TEST(ClientStubTest, ForeignDescriptorsPassThroughUntracked) {
   test::run_thread(sys, [&] {
     auto& creator_stub = sys.coordinator().client_stub(creator, "evt");
     auto& user_stub = sys.coordinator().client_stub(user, "evt");
-    const Value evtid = creator_stub.call("evt_split", {creator.id(), 0, 0});
-    EXPECT_EQ(user_stub.call("evt_trigger", {user.id(), evtid}), kernel::kOk);
+    const Value evtid = call(creator_stub, "evt_split", {creator.id(), 0, 0});
+    EXPECT_EQ(call(user_stub, "evt_trigger", {user.id(), evtid}), kernel::kOk);
     EXPECT_EQ(user_stub.table().size(), 0u);  // Not its descriptor.
     EXPECT_EQ(creator_stub.table().size(), 1u);
   });
@@ -186,11 +191,11 @@ TEST(ClientStubTest, EpochDetectionWithoutFaultFlag) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
+    const Value id = call(stub, "lock_alloc", {app.id()});
+    call(stub, "lock_take", {app.id(), id, sys.kernel().current_thread()});
     sys.kernel().inject_crash(sys.lock().id());  // No in-flight call of ours.
     // Next call sees a stale epoch, recovers (re-takes), then releases.
-    EXPECT_EQ(stub.call("lock_release", {app.id(), id}), kernel::kOk);
+    EXPECT_EQ(call(stub, "lock_release", {app.id(), id}), kernel::kOk);
     EXPECT_EQ(stub.stats().recoveries, 1u);
   });
 }

@@ -6,7 +6,8 @@
 // Each case hashes a canonical rendering (FNV-1a 64) at 1 and at 4 workers:
 // the campaign JSON over every target and all three fault profiles with
 // supervision and the invariant checker on, the fleet JSON, and two explorer
-// sweeps (execution count, pruning counters and the explored schedules).
+// sweeps (execution count, pruning counters and the explored schedules). One
+// more case pins a traced 125 ms open-loop web run, which has no workers.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fleet.hpp"
+#include "components/trace_check.hpp"
 #include "explore/explorer.hpp"
+#include "websrv/loadgen.hpp"
 
 namespace sg {
 namespace {
@@ -111,6 +114,30 @@ INSTANTIATE_TEST_SUITE_P(Workers, SeededOutputsTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "j" + std::to_string(info.param);
                          });
+
+// One segment of the benchmark's web-open-loop workload: a traced SuperGlue
+// System on one core, recovering on demand, serving 20k req/s of Poisson
+// arrivals for 125 ms of virtual time with a crash every 120 ms.
+TEST(SeededWebOutputsTest, OpenLoopJsonIsPinned) {
+  components::SystemConfig config;
+  config.seed = 7;
+  config.mode = components::FtMode::kSuperGlue;
+  config.policy = c3::RecoveryPolicy::kOnDemand;
+  config.trace = true;
+  config.cores = 1;
+  components::System sys(config);
+  websrv::OpenLoopConfig load;
+  load.rate = 20000.0;
+  load.duration_us = 125'000;
+  load.seed = 7;
+  load.componentized = true;
+  load.fault_period = 120'000;
+  const websrv::OpenLoopResult result = websrv::run_open_loop(sys, load);
+  EXPECT_EQ(result.issued, 2455u);
+  EXPECT_EQ(result.crashes_injected, 1);
+  EXPECT_EQ(hex(fnv1a(result.to_json("superglue"))), "461dd8b102ebe96d");
+  EXPECT_TRUE(components::check_recovery_invariants(sys).empty());
+}
 
 }  // namespace
 }  // namespace sg
