@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "c3/mechanism.hpp"
 #include "c3/storage.hpp"
 #include "c3stubs/c3_stubs.hpp"
 #include "components/system.hpp"
@@ -139,7 +138,7 @@ int main() {
     const auto c3_stats = sg::measure_recovery(row.service, sg::components::FtMode::kC3, rounds);
     const auto sg_stats =
         sg::measure_recovery(row.service, sg::components::FtMode::kSuperGlue, rounds);
-    table.add_row({row.label, to_string(row.spec().mechanisms()), summarize(c3_stats),
+    table.add_row({row.label, sg::c3::to_string(row.spec().mechanisms()), summarize(c3_stats),
                    summarize(sg_stats)});
   }
   std::printf("%s\n", table.render().c_str());

@@ -14,11 +14,17 @@
 // crashes through the system services; per-request latency is recorded from
 // the nominal arrival time into a log-bucketed histogram (p50/p99/p999) and
 // per-window availability/goodput is reported. Every open-loop run executes
-// with event tracing on and is checked against the recovery invariants; any
-// violation fails the bench. All open-loop outputs are virtual-time only, so
-// BENCH_fig7.json is byte-identical across runs for a fixed seed.
+// with event tracing on and its whole event stream is checked against the
+// recovery invariants; a violation fails the bench, and so does a run whose
+// trace overflowed the log, since its check could only be lenient. All
+// open-loop outputs are virtual-time only, so BENCH_fig7.json is
+// byte-identical across runs for a fixed seed. A malformed knob is a usage
+// error (exit status 2; see usage()).
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,23 +72,57 @@ websrv::WebServerResult run_once(const Variant& variant, int requests,
   return websrv::run_web_server(sys, web);
 }
 
-double flag_double(int argc, char** argv, const char* prefix, double fallback) {
-  const std::size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return std::atof(argv[i] + len);
-  }
-  return fallback;
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_fig7_webserver [--json] "
+               "[--open-loop [--rate=R] [--duration=US] [--seed=S]]\n"
+               "SG_REPS, SG_REQUESTS, SG_FAULT_PERIOD_US and SG_DURATION_US (--duration) "
+               "must be whole counts >= 1, SG_SEED (--seed) >= 0, SG_RATE (--rate) a "
+               "positive number\n");
+  return 2;
 }
 
-int open_loop_main(int argc, char** argv, bool emit_json) {
-  const double rate =
-      flag_double(argc, argv, "--rate=", bench::env_int("SG_RATE", 20000));
-  const auto duration = static_cast<kernel::VirtualTime>(
-      flag_double(argc, argv, "--duration=", bench::env_int("SG_DURATION_US", 1000000)));
-  const auto seed = static_cast<std::uint64_t>(
-      flag_double(argc, argv, "--seed=", bench::env_int("SG_SEED", 42)));
-  const auto fault_period = static_cast<kernel::VirtualTime>(
-      bench::env_int("SG_FAULT_PERIOD_US", 120000));
+/// bench::env_count for an int knob of at least 1; unset leaves `*out`.
+bool env_int_count(const char* name, int* out) {
+  long long value = *out;
+  if (!bench::env_count(name, 1, &value) || value > INT_MAX) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+/// Parses a finite request rate above zero into `*out`.
+bool parse_rate(const char* text, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !(value > 0) || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+int open_loop_main(int argc, char** argv, bool emit_json, int requests,
+                   kernel::VirtualTime fault_period) {
+  double rate = 20000;
+  long long duration_us = 1000000;
+  long long seed = 42;
+  const char* env_rate = std::getenv("SG_RATE");
+  if ((env_rate != nullptr && !parse_rate(env_rate, &rate)) ||
+      !bench::env_count("SG_DURATION_US", 1, &duration_us) ||
+      !bench::env_count("SG_SEED", 0, &seed)) {
+    return usage();
+  }
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if ((std::strncmp(arg, "--rate=", 7) == 0 && !parse_rate(arg + 7, &rate)) ||
+        (std::strncmp(arg, "--duration=", 11) == 0 &&
+         !bench::parse_count(arg + 11, 1, &duration_us)) ||
+        (std::strncmp(arg, "--seed=", 7) == 0 && !bench::parse_count(arg + 7, 0, &seed))) {
+      return usage();
+    }
+  }
+  const auto duration = static_cast<kernel::VirtualTime>(duration_us);
 
   bench::banner("Open-loop web frontend: tail latency + availability under live SWIFI",
                 "Fig 7 at scale");
@@ -93,10 +133,11 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
 
   TextTable table;
   table.add_row({"Variant", "issued", "avail", "p50us", "p99us", "p999us", "maxus",
-                 "goodput ok/s (clean|fault)", "crashes"});
+                 "goodput ok/s (clean|fault)", "crashes", "trace events", "dropped"});
   std::string runs_json;
   double open_loop_fault_avail = -1.0;
   bool invariants_ok = true;
+  bool whole_streams = true;
 
   for (const Variant& variant : kVariants) {
     components::SystemConfig config;
@@ -108,16 +149,18 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
     websrv::OpenLoopConfig open;
     open.rate = rate;
     open.duration_us = duration;
-    open.seed = seed;
+    open.seed = static_cast<std::uint64_t>(seed);
     open.componentized = variant.componentized;
     open.fault_period = variant.faults ? fault_period : 0;
     const auto result = websrv::run_open_loop(sys, open);
 
-    const auto violations = components::check_recovery_invariants(sys);
+    const trace::Tracer::Snapshot snap = sys.kernel().tracer().snapshot();
+    const auto violations = trace::InvariantChecker(components::checker_hooks(sys)).check(snap);
     for (const auto& violation : violations) {
       std::fprintf(stderr, "INVARIANT VIOLATION [%s]: %s\n", variant.label, violation.c_str());
     }
     if (!violations.empty()) invariants_ok = false;
+    if (snap.truncated()) whole_streams = false;
 
     char avail[32], goodput[64];
     std::snprintf(avail, sizeof(avail), "%.4f", result.availability);
@@ -128,7 +171,9 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
                    std::to_string(result.latency.percentile(99)),
                    std::to_string(result.latency.percentile(99.9)),
                    std::to_string(result.latency.max()), goodput,
-                   std::to_string(result.crashes_injected)});
+                   std::to_string(result.crashes_injected),
+                   std::to_string(snap.events.size() + snap.dropped),
+                   std::to_string(snap.dropped)});
 
     if (variant.mode == FtMode::kSuperGlue && variant.faults) {
       open_loop_fault_avail = result.availability;
@@ -144,7 +189,6 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
   // least as available as the closed-loop equivalent — recovery that holds
   // up when the generator backs off but not under sustained offered load
   // would silently regress Fig 7 at scale.
-  const int requests = bench::env_int("SG_REQUESTS", 20000);
   const auto closed = run_once(kVariants[5], requests, fault_period);
   const double closed_avail =
       closed.completed + closed.errors > 0
@@ -168,6 +212,12 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
     std::fprintf(stderr, "FAIL: recovery invariant violations during open-loop runs\n");
     return 1;
   }
+  if (!whole_streams) {
+    std::fprintf(stderr,
+                 "FAIL: an open-loop run's trace overflowed the log, so its invariant check "
+                 "skipped the dropped events\n");
+    return 1;
+  }
   if (open_loop_fault_avail + 1e-9 < closed_avail) {
     std::fprintf(stderr,
                  "FAIL: open-loop availability under faults (%.6f) below closed-loop "
@@ -184,18 +234,23 @@ int open_loop_main(int argc, char** argv, bool emit_json) {
 int main(int argc, char** argv) {
   const bool emit_json = sg::bench::has_flag(argc, argv, "--json");
   if (std::getenv("SG_PIN_CPU") == nullptr) setenv("SG_PIN_CPU", "1", 0);
-  if (sg::bench::has_flag(argc, argv, "--open-loop")) {
-    return sg::open_loop_main(argc, argv, emit_json);
-  }
-  sg::bench::banner("Web server throughput: Apache-like / COMPOSITE / +C3 / +SuperGlue",
-                    "Fig 7 of the paper");
-  const int requests = sg::bench::env_int("SG_REQUESTS", 20000);
-  const int reps = sg::bench::env_int("SG_REPS", 7);
+  int requests = 20000;
   // The paper crashes one system component every 10 s of a ~17k req/s run,
   // i.e. roughly every 170k requests; our runs are shorter, so we scale the
   // crash rate so each faulty run sees several recoveries.
-  const auto fault_period = static_cast<sg::kernel::VirtualTime>(
-      sg::bench::env_int("SG_FAULT_PERIOD_US", 120000));
+  long long fault_period_us = 120000;
+  if (!sg::env_int_count("SG_REQUESTS", &requests) ||
+      !sg::bench::env_count("SG_FAULT_PERIOD_US", 1, &fault_period_us)) {
+    return sg::usage();
+  }
+  const auto fault_period = static_cast<sg::kernel::VirtualTime>(fault_period_us);
+  if (sg::bench::has_flag(argc, argv, "--open-loop")) {
+    return sg::open_loop_main(argc, argv, emit_json, requests, fault_period);
+  }
+  int reps = 7;
+  if (!sg::env_int_count("SG_REPS", &reps)) return sg::usage();
+  sg::bench::banner("Web server throughput: Apache-like / COMPOSITE / +C3 / +SuperGlue",
+                    "Fig 7 of the paper");
   std::printf("requests per run: %d, repetitions: %d (override with SG_REQUESTS/SG_REPS)\n\n",
               requests, reps);
 

@@ -69,7 +69,7 @@ static int run_stress_mode(sg::swifi::StressMode mode, const std::string& trace_
       std::printf("trace: INVARIANT VIOLATION %s\n", violation.c_str());
     }
     if (report.trace_truncated) {
-      std::printf("trace: ring overflow truncated the window (invariant checks lenient)\n");
+      std::printf("trace: log overflow truncated the window (invariant checks lenient)\n");
     }
   }
   if (domains && emit_json) {

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "c3/mechanism.hpp"
 #include "idl/codegen.hpp"
 #include "idl/compiler.hpp"
 
@@ -60,7 +59,7 @@ int main() {
   std::printf("  B_r=%d  D_r=%d  G_dr=%d  P_dr=%s  C_dr=%d  Y_dr=%d  D_dr=%d\n", spec.desc_block,
               spec.resc_has_data, spec.desc_is_global, to_string(spec.parent),
               spec.desc_close_children, spec.desc_close_remove, spec.desc_has_data);
-  std::printf("  recovery mechanisms selected: %s\n\n", to_string(spec.mechanisms()).c_str());
+  std::printf("  recovery mechanisms selected: %s\n\n", c3::to_string(spec.mechanisms()).c_str());
 
   std::printf("=== 3. inferred states and precomputed R0 recovery walks ===\n");
   for (const auto& state : spec.sm.states()) {

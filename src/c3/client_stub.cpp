@@ -82,7 +82,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
         if (fn.is_terminal() && spec_.desc_close_children) {
           recover_subtree(*desc);  // D0.
         }
-        wire[static_cast<std::size_t>(fn.desc_idx)] = desc->sid();
+        wire[static_cast<std::size_t>(fn.desc_idx)] = desc->sid;
         // SM-based fault detection: reject invalid transition attempts.
         // Blocking fns are exempt: a second thread may legally contend while
         // the descriptor sits in a held state (completion order, not
@@ -106,7 +106,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       TrackedDesc* parent = table_.find(args[static_cast<std::size_t>(fn.parent_idx)]);
       if (parent != nullptr) {
         ensure_recovered(*parent);
-        wire[static_cast<std::size_t>(fn.parent_idx)] = parent->sid();
+        wire[static_cast<std::size_t>(fn.parent_idx)] = parent->sid;
       }
     }
 
@@ -247,14 +247,14 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
   // (stable descriptor ids).
   const FnId create = desc.created_by != kNoFn ? desc.created_by : rt_.creation_fn();
   Args create_args = build_replay_args(create, desc);
-  create_args.push_back(desc.sid());
+  create_args.push_back(desc.sid);
   const Value new_sid = recovery_invoke(create, create_args);
   if (new_sid < 0) {
     throw kernel::SystemCrash(kernel::CrashKind::kDoubleFault, server_,
                               spec_.service + ": creation replay returned " +
                                   std::to_string(new_sid));
   }
-  table_.set_sid(desc, new_sid);
+  desc.sid = new_sid;
 
   // sm_restore fns re-establish tracked descriptor data (e.g., tlseek).
   for (const FnId restore_fn : rt_.restore_fns()) {
@@ -297,11 +297,11 @@ Args ClientStub::build_replay_args(FnId fn, const TrackedDesc& desc) {
     const ParamSpec& param = params[i];
     switch (param.role) {
       case ParamRole::kDesc:
-        out.push_back(desc.sid());
+        out.push_back(desc.sid);
         break;
       case ParamRole::kParentDesc: {
         Value parent_sid = desc.parent_vid;
-        if (const TrackedDesc* parent = table_.find(desc.parent_vid)) parent_sid = parent->sid();
+        if (const TrackedDesc* parent = table_.find(desc.parent_vid)) parent_sid = parent->sid;
         out.push_back(parent_sid);
         break;
       }

@@ -19,7 +19,6 @@ TrackedDesc& DescTable::create(Value vid, Value sid, StateId initial_state,
     // Re-creating an already-tracked descriptor is legal: idempotent creation
     // fns (e.g., mman_get_page on an existing vaddr) return the same id.
     index = it->second;
-    drop_sid_index(slots_[index].desc.sid_, index);
   } else if (!free_.empty()) {
     index = free_.back();
     free_.pop_back();
@@ -34,12 +33,11 @@ TrackedDesc& DescTable::create(Value vid, Value sid, StateId initial_state,
   slot.live = true;
   TrackedDesc& desc = slot.desc;
   desc.vid = vid;
-  desc.sid_ = sid;
+  desc.sid = sid;
   desc.state = initial_state;
   desc.creation_args = std::move(creation_args);
   desc.faulty = false;
   desc.zombie = false;
-  by_sid_.emplace(sid, index);
   return desc;
 }
 
@@ -59,61 +57,12 @@ const TrackedDesc* DescTable::find(Value vid) const {
   return it == by_vid_.end() ? nullptr : &slots_[it->second].desc;
 }
 
-TrackedDesc* DescTable::find_by_sid(Value sid) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto [begin, end] = by_sid_.equal_range(sid);
-  for (auto it = begin; it != end; ++it) {
-    Slot& slot = slots_[it->second];
-    if (slot.live && !slot.desc.zombie) return &slot.desc;
-  }
-  return nullptr;
-}
-
-void DescTable::set_sid(TrackedDesc& desc, Value sid) {
-  if (desc.sid_ == sid) return;
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = by_vid_.find(desc.vid);
-  SG_ASSERT_MSG(it != by_vid_.end() && &slots_[it->second].desc == &desc,
-                "set_sid on a record this table does not own");
-  drop_sid_index(desc.sid_, it->second);
-  desc.sid_ = sid;
-  by_sid_.emplace(sid, it->second);
-}
-
-DescTable::Handle DescTable::handle_of(const TrackedDesc& desc) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = by_vid_.find(desc.vid);
-  SG_ASSERT_MSG(it != by_vid_.end() && &slots_[it->second].desc == &desc,
-                "handle_of on a record this table does not own");
-  return Handle{it->second, slots_[it->second].gen};
-}
-
-TrackedDesc* DescTable::resolve(Handle handle) {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (handle.slot >= slots_.size()) return nullptr;
-  Slot& slot = slots_[handle.slot];
-  if (!slot.live || slot.gen != handle.gen) return nullptr;
-  return &slot.desc;
-}
-
-void DescTable::drop_sid_index(Value sid, std::uint32_t index) {
-  auto [begin, end] = by_sid_.equal_range(sid);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second == index) {
-      by_sid_.erase(it);
-      return;
-    }
-  }
-}
-
 void DescTable::erase_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   SG_ASSERT_MSG(slot.live, "erase of a dead slot");
   by_vid_.erase(slot.desc.vid);
-  drop_sid_index(slot.desc.sid_, index);
   slot.desc = TrackedDesc{};
   slot.live = false;
-  ++slot.gen;  // Invalidate outstanding handles to the recycled slot.
   free_.push_back(index);
   --count_;
 }
@@ -196,7 +145,6 @@ void DescTable::clear() {
   slots_.clear();
   free_.clear();
   by_vid_.clear();
-  by_sid_.clear();
   count_ = 0;
 }
 

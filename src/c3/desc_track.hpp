@@ -24,6 +24,7 @@ struct TrackedDesc {
   static constexpr int kMaxFields = 8;
 
   kernel::Value vid = 0;  ///< Client-visible descriptor id (stable across faults).
+  kernel::Value sid = 0;  ///< Current server-side id (remapped after recovery).
   StateId state = kStateInitial;  ///< Current descriptor state-machine state.
   kernel::Value parent_vid = kNoParent;
   std::vector<kernel::Value> children;
@@ -43,10 +44,6 @@ struct TrackedDesc {
   /// completion order in that window, so the late returner must defer.
   std::uint64_t commit_seq = 0;
 
-  /// Current server-side id (remapped after recovery). Writes go through
-  /// DescTable::set_sid so the table's O(1) sid index stays coherent.
-  kernel::Value sid() const { return sid_; }
-
   // --- D_{d_r} tracked metadata, FieldId-indexed ----------------------------
   bool has_field(FieldId f) const {
     return f >= 0 && f < kMaxFields && (field_mask_ & (1u << f)) != 0;
@@ -60,8 +57,6 @@ struct TrackedDesc {
   std::uint8_t field_mask() const { return field_mask_; }
 
  private:
-  friend class DescTable;
-  kernel::Value sid_ = 0;
   kernel::Value fields_[kMaxFields] = {};
   std::uint8_t field_mask_ = 0;
 };
@@ -70,12 +65,12 @@ struct TrackedDesc {
 ///
 /// Storage is a slab: records live in recycled slots of a std::deque (stable
 /// addresses — outstanding TrackedDesc pointers survive growth), with a
-/// free list, an O(1) vid→slot hash index, an O(1) sid→slot reverse index,
-/// and generation-tagged handles that detect stale references to recycled
-/// slots.
+/// free list and an O(1) vid→slot hash index. Slot order is the order
+/// for_each visits, so it fixes the order of eager recovery and of storage
+/// republish.
 ///
 /// Concurrency (cores>1): an internal mutex guards the slab *structure* —
-/// slot allocation/recycling and the vid/sid indexes — so lookups and
+/// slot allocation/recycling and the vid index — so lookups and
 /// create/remove are safe from any thread. The *contents* of a TrackedDesc
 /// reached through a returned pointer are not locked: they are owned by the
 /// descriptor's active thread (the client handler holding the component's
@@ -84,13 +79,6 @@ struct TrackedDesc {
 /// protocol already encodes. The lock is never held across a kernel call.
 class DescTable {
  public:
-  /// Generation-tagged reference to a slot. A handle taken before a record
-  /// was removed no longer resolves after the slot is recycled.
-  struct Handle {
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-  };
-
   /// Tracks a descriptor. Re-creating an already-tracked vid is legal
   /// (idempotent creation fns, e.g. mman_get_page on an existing vaddr) and
   /// preserves the record's D_dr fields, parent link, and children.
@@ -101,14 +89,6 @@ class DescTable {
 
   TrackedDesc* find(kernel::Value vid);
   const TrackedDesc* find(kernel::Value vid) const;
-  TrackedDesc* find_by_sid(kernel::Value sid);
-
-  /// Remaps a record's server-side id, keeping the sid index coherent.
-  void set_sid(TrackedDesc& desc, kernel::Value sid);
-
-  Handle handle_of(const TrackedDesc& desc) const;
-  /// nullptr if the handle's slot was recycled (generation mismatch) or dead.
-  TrackedDesc* resolve(Handle handle);
 
   /// Removes a descriptor. With `cascade`, removes the whole child subtree
   /// (C_dr recursive-revocation tracking). Without, the record becomes a
@@ -152,7 +132,6 @@ class DescTable {
  private:
   struct Slot {
     TrackedDesc desc;
-    std::uint32_t gen = 1;
     bool live = false;
   };
 
@@ -160,7 +139,6 @@ class DescTable {
   void remove_locked(kernel::Value vid, bool cascade);
   TrackedDesc* find_locked(kernel::Value vid);
   void erase_slot(std::uint32_t index);
-  void drop_sid_index(kernel::Value sid, std::uint32_t index);
   void unlink_from_parent(TrackedDesc& desc);
   void reap_if_zombie_done(kernel::Value vid);
 
@@ -168,9 +146,6 @@ class DescTable {
   std::deque<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::unordered_map<kernel::Value, std::uint32_t> by_vid_;
-  /// Multimap: distinct records may transiently share a sid across recovery
-  /// remaps (e.g. a zombie's stale sid vs. a fresh descriptor's).
-  std::unordered_multimap<kernel::Value, std::uint32_t> by_sid_;
   std::size_t count_ = 0;
 };
 

@@ -27,6 +27,15 @@ const char* to_string(ParentKind kind) {
   return "?";
 }
 
+std::string to_string(const MechanismSet& mechanisms) {
+  std::string out = "{";
+  for (const trace::Mechanism m : mechanisms) {
+    if (out.size() > 1) out += ",";
+    out += trace::to_string(m);
+  }
+  return out + "}";
+}
+
 int FnSpec::desc_param() const {
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (params[i].role == ParamRole::kDesc) return static_cast<int>(i);
@@ -141,6 +150,7 @@ CompiledRuntime InterfaceSpec::compile() const {
 }
 
 MechanismSet InterfaceSpec::mechanisms() const {
+  using trace::Mechanism;
   MechanismSet set{Mechanism::kR0, Mechanism::kT1};
   if (desc_block) set.insert(Mechanism::kT0);
   if (desc_close_children) set.insert(Mechanism::kD0);

@@ -1,13 +1,14 @@
 #pragma once
 
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "c3/ids.hpp"
-#include "c3/mechanism.hpp"
 #include "c3/state_machine.hpp"
+#include "trace/trace.hpp"
 #include "util/assert.hpp"
 
 namespace sg::c3 {
@@ -55,6 +56,12 @@ struct FnSpec {
 enum class ParentKind { kSolo, kParent, kXCParent };
 
 const char* to_string(ParentKind kind);
+
+/// The §III-C recovery mechanisms an interface's model selects.
+using MechanismSet = std::set<trace::Mechanism>;
+
+/// Renders e.g. "{R0,T0,T1}".
+std::string to_string(const MechanismSet& mechanisms);
 
 /// Per-function record of the compiled runtime: everything the stub engine
 /// needs on the hot path, pre-resolved into dense ids and indexes so one

@@ -22,7 +22,7 @@ trace::CheckerHooks checker_hooks(System& sys);
 
 /// Runs the invariant checker over everything the System's tracer recorded.
 /// Returns the violations (empty == the recovery paths were sound). When the
-/// ring overflowed the checker runs in truncation-lenient mode.
+/// log overflowed the checker runs in truncation-lenient mode.
 std::vector<std::string> check_recovery_invariants(System& sys);
 
 /// Writes the System's trace as Chrome trace_event JSON into the directory

@@ -64,7 +64,7 @@ struct Options {
 struct StepFootprint {
   /// Fault/recovery machinery fired inside the segment (fault vectoring,
   /// reboot, recovery walk, supervisor, storage substrate, cmon), or the
-  /// segment could not be observed (ring overflow, missing invoke-enter
+  /// segment could not be observed (log overflow, missing invoke-enter
   /// metadata). Nothing commutes across a barrier.
   bool barrier = true;
   /// The segment contains synchronization or scheduling freedom (block, wake,

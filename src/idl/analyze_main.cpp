@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <string>
 
-#include "c3/mechanism.hpp"
 #include "idl/compiler.hpp"
 #include "util/stats.hpp"
 
@@ -37,11 +36,11 @@ int worst_case_steps(const sg::c3::InterfaceSpec& spec) {
   int steps = 1 + static_cast<int>(spec.sm.restore_fns().size()) +
               static_cast<int>(longest_walk);
   const auto mechanisms = spec.mechanisms();
-  if (mechanisms.count(sg::c3::Mechanism::kG0) != 0 ||
-      mechanisms.count(sg::c3::Mechanism::kU0) != 0) {
+  if (mechanisms.count(sg::trace::Mechanism::kG0) != 0 ||
+      mechanisms.count(sg::trace::Mechanism::kU0) != 0) {
     steps += 2;  // Storage lookup + replay after the upcall.
   }
-  if (mechanisms.count(sg::c3::Mechanism::kG1) != 0) steps += 1;  // Data fetch.
+  if (mechanisms.count(sg::trace::Mechanism::kG1) != 0) steps += 1;  // Data fetch.
   return steps;
 }
 
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
       std::snprintf(model, sizeof(model), "%d/%d/%d/%s/%d/%d/%d", spec.desc_block,
                     spec.resc_has_data, spec.desc_is_global, to_string(spec.parent),
                     spec.desc_close_children, spec.desc_close_remove, spec.desc_has_data);
-      table.add_row({spec.service, model, to_string(spec.mechanisms()),
+      table.add_row({spec.service, model, sg::c3::to_string(spec.mechanisms()),
                      std::to_string(spec.sm.state_count()),
                      std::to_string(longest_walk) + " (" + longest_state + ")",
                      std::to_string(worst_case_steps(spec)) + " (+depth per D1 ancestor)"});

@@ -232,7 +232,7 @@ GeneratedCode CodeGenerator::generate() {
       << " * model: B=" << s.desc_block << " Dr=" << s.resc_has_data << " G=" << s.desc_is_global
       << " P=" << to_string(s.parent) << " C=" << s.desc_close_children
       << " Y=" << s.desc_close_remove << " Dd=" << s.desc_has_data << "\n"
-      << " * mechanisms: " << to_string(s.mechanisms()) << " */\n";
+      << " * mechanisms: " << c3::to_string(s.mechanisms()) << " */\n";
   }
   if (use("c.includes")) {
     c << "#include <cstub.h>\n"

@@ -13,7 +13,6 @@
 #include <iostream>
 #include <string>
 
-#include "c3/mechanism.hpp"
 #include "idl/codegen.hpp"
 #include "idl/compiler.hpp"
 
@@ -38,7 +37,7 @@ void dump_model(const sg::c3::InterfaceSpec& spec) {
             << "  C_dr (desc_close_children) = " << spec.desc_close_children << "\n"
             << "  Y_dr (desc_close_remove)   = " << spec.desc_close_remove << "\n"
             << "  D_dr (desc_has_data)       = " << spec.desc_has_data << "\n"
-            << "  mechanisms: " << to_string(spec.mechanisms()) << "\n"
+            << "  mechanisms: " << sg::c3::to_string(spec.mechanisms()) << "\n"
             << "  states (|S| = " << spec.sm.state_count() << "):\n";
   for (const auto& state : spec.sm.states()) {
     std::cout << "    " << state << " : walk = [";

@@ -73,7 +73,7 @@ struct StressReport {
   std::string trace_normalized;         ///< Normalized event stream.
   std::string trace_chrome_json;        ///< Chrome trace_event export.
   std::vector<std::string> trace_violations;  ///< Recovery-invariant breaks.
-  bool trace_truncated = false;         ///< Ring overflow dropped events.
+  bool trace_truncated = false;         ///< Log overflow dropped events.
 };
 
 StressReport run_stress(StressMode mode, const StressConfig& config = {});

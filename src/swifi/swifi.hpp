@@ -87,7 +87,7 @@ struct EpisodeTrace {
   std::string normalized;       ///< format_normalized of the episode's events.
   std::string chrome_json;      ///< Chrome trace_event export.
   std::vector<std::string> violations;  ///< Recovery-invariant violations.
-  bool truncated = false;       ///< Ring overflow dropped the oldest events.
+  bool truncated = false;       ///< Log overflow dropped the oldest events.
 };
 
 /// Runs the SWIFI episodes of §V-D: for each injection, a fresh system

@@ -25,7 +25,7 @@ void InvariantChecker::begin(bool truncated) {
   notices_.clear();
   if (truncated_) {
     notices_.push_back(
-        "window truncated: ring overflow dropped the oldest events; "
+        "window truncated: log overflow dropped the oldest events; "
         "prefix-dependent checks are suppressed");
   }
 }
@@ -106,7 +106,6 @@ void InvariantChecker::feed(const Event& ev) {
         if (!truncated_) violation(ev, "invariant 2: walk step without walk-begin");
         break;
       }
-      if (walk->orphan) break;
       if (ev.a != walk->chain) {
         violation(ev, "invariant 2: walk step replays from state " + std::to_string(ev.a) +
                       " but the walk chain is at state " + std::to_string(walk->chain));
@@ -126,17 +125,15 @@ void InvariantChecker::feed(const Event& ev) {
         if (!truncated_) violation(ev, "invariant 2: walk end without walk-begin");
         break;
       }
-      if (!walk->orphan) {
-        if (ev.a != walk->land) {
-          violation(ev, "invariant 2: walk landed in state " + std::to_string(ev.a) +
-                        " but the pre-fault walk target was state " +
-                        std::to_string(walk->land));
-        }
-        if (walk->chain != walk->land) {
-          violation(ev, "invariant 2: walk chain stopped at state " +
-                        std::to_string(walk->chain) + " short of its landing state " +
-                        std::to_string(walk->land));
-        }
+      if (ev.a != walk->land) {
+        violation(ev, "invariant 2: walk landed in state " + std::to_string(ev.a) +
+                      " but the pre-fault walk target was state " +
+                      std::to_string(walk->land));
+      }
+      if (walk->chain != walk->land) {
+        violation(ev, "invariant 2: walk chain stopped at state " +
+                      std::to_string(walk->chain) + " short of its landing state " +
+                      std::to_string(walk->land));
       }
       // Drop this walk and anything stacked above it (abandoned by unwinds).
       auto& stack = it->second;

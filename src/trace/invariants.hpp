@@ -45,8 +45,8 @@ struct CheckerHooks {
 ///      no scoped domain open, every release matches an acquire, and a
 ///      complete window closes every domain it opened.
 ///
-/// Truncation soundness: when the ring buffers overflowed (snapshot.dropped
-/// > 0), the window may start mid-recovery, so orphan walk events and
+/// Truncation soundness: when the log overflowed (snapshot.dropped > 0), the
+/// window may start mid-recovery, so orphan walk events and
 /// already-pending faults are *not* violations. begin(truncated=true) makes
 /// the checker report "window truncated" in notices() and suppress every
 /// check that needs the missing prefix, instead of raising false positives.
@@ -86,7 +86,6 @@ class InvariantChecker {
     c3::StateId expected = c3::kNoState;
     c3::StateId land = c3::kNoState;
     c3::StateId chain = c3::kStateInitial;  ///< State after the last step.
-    bool orphan = false;  ///< Begin not seen (truncated window): skip checks.
   };
   struct OpenGroup {
     std::set<kernel::CompId> expected;  ///< Declared members not yet rebooted.

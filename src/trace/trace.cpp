@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 namespace sg::trace {
 
 namespace {
-
-std::atomic<std::uint64_t> g_next_instance{1};
-
-/// Per-host-thread cache of the last (tracer, ring) pairing, so record()
-/// reaches its ring without taking the registration mutex. Instance ids are
-/// never reused, so a stale cache entry can never alias a new tracer. The
-/// ring is stored as void* because Ring is a private nested type.
-struct TlsRingRef {
-  std::uint64_t instance = 0;
-  void* ring = nullptr;
-};
-thread_local TlsRingRef tls_ring;
 
 std::string comp_name(kernel::CompId comp, const NameFn& names) {
   if (comp == kernel::kNoComp) return "-";
@@ -87,13 +76,14 @@ const char* to_string(Mechanism mech) {
 // Tracer
 // ---------------------------------------------------------------------------
 
-Tracer::Tracer(std::size_t ring_capacity)
-    : instance_(g_next_instance.fetch_add(1, std::memory_order_relaxed)),
-      capacity_(ring_capacity == 0 ? 1 : ring_capacity) {
+Tracer::Tracer(std::size_t capacity) {
+  set_capacity(capacity);
   set_enabled(env_enabled());
 }
 
-Tracer::~Tracer() = default;
+Tracer::~Tracer() {
+  for (std::atomic<Event*>& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
+}
 
 bool Tracer::env_enabled() {
   static const bool on = [] {
@@ -103,64 +93,50 @@ bool Tracer::env_enabled() {
   return on;
 }
 
-Tracer::Ring& Tracer::ring_for_this_thread() {
-  if (tls_ring.instance == instance_) return *static_cast<Ring*>(tls_ring.ring);
-  std::lock_guard<std::mutex> lock(mtx_);
-  auto& slot = rings_[std::this_thread::get_id()];
-  if (!slot) slot = std::make_unique<Ring>(capacity_);
-  tls_ring = {instance_, slot.get()};
-  return *slot;
-}
-
-void Tracer::Ring::reset(std::size_t new_capacity) {
-  capacity = new_capacity;
-  chunks.clear();
-  chunks.resize((capacity + kChunkEvents - 1) / kChunkEvents);
-  next = 0;
-  count = 0;
-}
-
 void Tracer::record_slow(Event ev) {
   ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  Ring& ring = ring_for_this_thread();
-  std::unique_ptr<Event[]>& chunk = ring.chunks[ring.next / kChunkEvents];
-  if (!chunk) chunk = std::make_unique<Event[]>(kChunkEvents);
-  chunk[ring.next % kChunkEvents] = ev;
-  if (++ring.next == ring.capacity) ring.next = 0;
-  ++ring.count;
+  // Slot seq mod capacity; the division is paid only once the log wraps.
+  const std::size_t slot = ev.seq < capacity_ ? ev.seq : ev.seq % capacity_;
+  std::atomic<Event*>& cell = chunks_[slot / kChunkEvents];
+  Event* chunk = cell.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    // The first writer to reach the chunk publishes it; a writer that loses
+    // the race frees its copy and writes into the winner's.
+    Event* fresh = new Event[kChunkEvents];
+    if (cell.compare_exchange_strong(chunk, fresh, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      chunk = fresh;
+    } else {
+      delete[] fresh;
+    }
+  }
+  chunk[slot % kChunkEvents] = ev;
 }
 
 Tracer::Snapshot Tracer::snapshot() const {
   Snapshot snap;
-  std::lock_guard<std::mutex> lock(mtx_);
-  for (const auto& [thread_id, ring] : rings_) {
-    const std::uint64_t kept = std::min<std::uint64_t>(ring->count, ring->capacity);
-    snap.dropped += ring->count - kept;
-    // Once the ring has wrapped, its oldest kept event is the next to go.
-    std::size_t slot = kept == ring->capacity ? ring->next : 0;
-    for (std::uint64_t i = 0; i < kept; ++i) {
-      snap.events.push_back(ring->at(slot));
-      if (++slot == ring->capacity) slot = 0;
-    }
+  const std::uint64_t recorded = seq_.load(std::memory_order_relaxed);
+  const std::uint64_t kept = std::min<std::uint64_t>(recorded, capacity_);
+  snap.dropped = recorded - kept;
+  snap.events.reserve(kept);
+  // The kept events are seqs [dropped, recorded). Copy them in runs that end
+  // at a chunk's end, at the log's end (where slots wrap) or at the newest.
+  for (std::uint64_t seq = snap.dropped; seq < recorded;) {
+    const std::size_t slot = seq % capacity_;
+    const std::size_t offset = slot % kChunkEvents;
+    const std::size_t run =
+        std::min<std::uint64_t>({kChunkEvents - offset, capacity_ - slot, recorded - seq});
+    const Event* chunk = chunks_[slot / kChunkEvents].load(std::memory_order_relaxed);
+    snap.events.insert(snap.events.end(), chunk + offset, chunk + offset + run);
+    seq += run;
   }
-  std::sort(snap.events.begin(), snap.events.end(),
-            [](const Event& lhs, const Event& rhs) { return lhs.seq < rhs.seq; });
   return snap;
 }
 
-void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mtx_);
-  for (auto& [thread_id, ring] : rings_) {
-    ring->next = 0;
-    ring->count = 0;
-  }
-  seq_.store(0, std::memory_order_relaxed);
-}
-
-void Tracer::set_capacity(std::size_t ring_capacity) {
-  std::lock_guard<std::mutex> lock(mtx_);
-  capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
-  for (auto& [thread_id, ring] : rings_) ring->reset(capacity_);
+void Tracer::set_capacity(std::size_t capacity) {
+  for (std::atomic<Event*>& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
+  capacity_ = capacity == 0 ? 1 : capacity;
+  chunks_ = std::vector<std::atomic<Event*>>((capacity_ + kChunkEvents - 1) / kChunkEvents);
   seq_.store(0, std::memory_order_relaxed);
 }
 

@@ -3,12 +3,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "c3/ids.hpp"
@@ -84,14 +80,27 @@ enum class EventKind : std::uint8_t {
 
 const char* to_string(EventKind kind);
 
-/// Which recovery mechanism a kMechanism event reports (§III-C).
-enum class Mechanism : std::int32_t { kR0, kT0, kT1, kD0, kD1, kG0, kG1, kU0 };
+/// The interface-driven recovery mechanisms of §III-C: the one enum both a
+/// kMechanism event's `a` and an interface's selected set (c3::MechanismSet)
+/// use. SuperGlue's model maps each interface's descriptor-resource
+/// parameters to the subset of these its recovery requires.
+enum class Mechanism : std::int32_t {
+  kR0,  ///< Base state-machine walk from s_f to the expected state.
+  kT0,  ///< Eager wakeup of blocked threads at fault time (iff B_r).
+  kT1,  ///< On-demand, priority-correct recovery of descriptors.
+  kD0,  ///< Children reconstructed before recursive revocation (iff C_dr).
+  kD1,  ///< Parents recovered before children (iff P_dr != Solo).
+  kG0,  ///< Global-descriptor recovery through the storage component.
+  kG1,  ///< Resource data restored from the storage component.
+  kU0,  ///< Upcalls into client components to rebuild descriptor state.
+};
 
 const char* to_string(Mechanism mech);
 
-/// One fixed-size POD record. `seq` is a global total order (valid because
-/// the simulated kernel runs exactly one thread at any instant); `at` is
-/// virtual time, so traces of a seeded run are bit-identical across hosts.
+/// One fixed-size POD record. `seq` is the event's index in its System's
+/// log, a total order (a causal one because the simulated kernel runs
+/// exactly one thread at any instant); `at` is virtual time, so traces of a
+/// seeded run are bit-identical across hosts.
 struct Event {
   std::uint64_t seq = 0;
   kernel::VirtualTime at = 0;
@@ -108,27 +117,33 @@ struct Event {
 /// mappings render as "#<id>".
 using NameFn = std::function<std::string(kernel::CompId)>;
 
-/// The event log: per-thread ring buffers (no cross-thread contention on the
-/// hot path) merged on demand into one seq-ordered snapshot. When the
-/// runtime toggle is off, record() costs one relaxed atomic load and a
-/// predicted branch — the near-zero disabled cost bench_micro_primitives
-/// measures.
+/// The event log: one chunked log per System, in seq order by construction.
+/// record() takes the next seq from an atomic counter and stores the event at
+/// slot `seq mod capacity`, so writers on different simulated cores need no
+/// lock and snapshot() needs no merge. When the runtime toggle is off,
+/// record() costs one relaxed atomic load and a predicted branch (sgbench's
+/// trace.record_off_ns).
 ///
-/// A ring takes memory in chunks of kChunkEvents as events arrive, up to its
-/// capacity, so a thread that records a handful of events holds one chunk.
+/// The log takes memory in chunks of kChunkEvents as events arrive: the first
+/// writer to reach a chunk allocates it and publishes it with a
+/// compare-and-swap, so a System that records a handful of events holds one
+/// chunk, not its capacity.
 ///
-/// Overflow policy: each ring keeps the newest `capacity` events and evicts
-/// the oldest; snapshot() reports how many were dropped so consumers (the
-/// invariant checker) can switch to truncation-lenient interpretation
-/// instead of reporting false violations.
+/// Overflow policy: the log keeps the newest `capacity` events of the whole
+/// stream and evicts the oldest; snapshot() reports how many were dropped so
+/// consumers (the invariant checker) can switch to truncation-lenient
+/// interpretation instead of reporting false violations.
 class Tracer {
  public:
-  /// Per-thread cap: the most events one ring holds before it wraps.
-  static constexpr std::size_t kDefaultRingCapacity = 1u << 15;
-  /// Allocation unit of a ring (12 KiB of events).
+  /// Cap on one log: the most events it holds before it wraps. 2^20 events
+  /// (48 MiB, taken chunk by chunk) hold the longest traced runs whole: a
+  /// 125 ms sgbench web run records ~76k events, bench_fig7_webserver's
+  /// 400 ms open-loop run ~251k and its 1 s default ~627k.
+  static constexpr std::size_t kDefaultCapacity = 1u << 20;
+  /// Allocation unit of the log (12 KiB of events).
   static constexpr std::size_t kChunkEvents = 256;
 
-  explicit Tracer(std::size_t ring_capacity = kDefaultRingCapacity);
+  explicit Tracer(std::size_t capacity = kDefaultCapacity);
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
@@ -157,11 +172,11 @@ class Tracer {
     record_slow(ev);
   }
 
-  /// Merged, seq-ordered view of every ring, plus the overflow count. Also
-  /// the in-memory query API the tests drive.
+  /// Seq-ordered copy of the kept events, plus the overflow count. Also the
+  /// in-memory query API the tests drive.
   struct Snapshot {
     std::vector<Event> events;  ///< Ascending seq.
-    std::uint64_t dropped = 0;  ///< Events evicted by ring overflow.
+    std::uint64_t dropped = 0;  ///< Oldest events evicted by log overflow.
 
     bool truncated() const { return dropped != 0; }
     std::size_t count(EventKind kind, kernel::CompId comp = kernel::kNoComp) const;
@@ -170,40 +185,24 @@ class Tracer {
     /// First event of `kind` (for `comp` if given), or nullptr.
     const Event* first(EventKind kind, kernel::CompId comp = kernel::kNoComp) const;
   };
+  /// Call only while no thread records: the run's end (a join, or the
+  /// kernel's hand-off between simulated threads) orders the writes first.
   Snapshot snapshot() const;
 
-  /// Discards all recorded events (rings keep their chunks) and resets seq.
-  void clear();
-
-  /// Sets every ring's capacity, discarding contents and chunks. Tests use
-  /// tiny capacities to exercise the overflow policy.
-  void set_capacity(std::size_t ring_capacity);
+  /// Sets the capacity, discarding every event and chunk and restarting seq
+  /// at 0. Tests use tiny capacities to exercise the overflow policy. Not
+  /// concurrent with record().
+  void set_capacity(std::size_t capacity);
 
  private:
-  /// Slot i lives at chunks[i / kChunkEvents][i % kChunkEvents]; a chunk is
-  /// allocated when the first event lands in it.
-  struct Ring {
-    explicit Ring(std::size_t capacity) { reset(capacity); }
-    void reset(std::size_t new_capacity);
-    const Event& at(std::size_t slot) const {
-      return chunks[slot / kChunkEvents][slot % kChunkEvents];
-    }
-
-    std::size_t capacity = 0;
-    std::vector<std::unique_ptr<Event[]>> chunks;
-    std::size_t next = 0;     ///< Slot the next event lands in.
-    std::uint64_t count = 0;  ///< Events ever recorded.
-  };
-
   void record_slow(Event ev);
-  Ring& ring_for_this_thread();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> seq_{0};
-  const std::uint64_t instance_;  ///< Globally unique; keys the TLS ring cache.
-  mutable std::mutex mtx_;        ///< Guards registration/snapshot, not record.
-  std::size_t capacity_;
-  std::map<std::thread::id, std::unique_ptr<Ring>> rings_;
+  std::atomic<std::uint64_t> seq_{0};  ///< Events ever recorded.
+  std::size_t capacity_ = 0;
+  /// Slot i lives at chunks_[i / kChunkEvents][i % kChunkEvents]; a chunk is
+  /// null until the first event lands in it.
+  std::vector<std::atomic<Event*>> chunks_;
 };
 
 /// One line per event with virtual timestamps normalized to deltas — the

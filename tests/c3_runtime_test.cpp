@@ -31,27 +31,8 @@ TEST(DescTableTest, CreateIsIdempotent) {
   DescTable table;
   table.create(7, 7, c3::kStateInitial, {});
   TrackedDesc& again = table.create(7, 9, c3::kStateInitial, {});
-  EXPECT_EQ(again.sid(), 9);
+  EXPECT_EQ(again.sid, 9);
   EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(DescTableTest, SidLookupAfterRemap) {
-  DescTable table;
-  auto& desc = table.create(7, 7, c3::kStateInitial, {});
-  table.set_sid(desc, 42);  // Recovery remapped the server id.
-  EXPECT_EQ(table.find_by_sid(42), &desc);
-  EXPECT_EQ(table.find_by_sid(7), nullptr);
-}
-
-TEST(DescTableTest, HandlesSurviveLookupButNotReuse) {
-  DescTable table;
-  auto& desc = table.create(5, 5, c3::kStateInitial, {});
-  const DescTable::Handle h = table.handle_of(desc);
-  EXPECT_EQ(table.resolve(h), &desc);
-  table.remove(5, false);
-  EXPECT_EQ(table.resolve(h), nullptr);  // Generation bumped on free.
-  table.create(6, 6, c3::kStateInitial, {});  // Recycles the slot...
-  EXPECT_EQ(table.resolve(h), nullptr);       // ...but the stale handle stays dead.
 }
 
 TEST(DescTableTest, CascadeRemovesSubtree) {

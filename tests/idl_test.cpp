@@ -234,8 +234,7 @@ INSTANTIATE_TEST_SUITE_P(AllServices, IdlReferenceTest,
 // --- §V-C mechanism claims ----------------------------------------------------
 
 TEST(IdlModelTest, MechanismSetsMatchPaperClaims) {
-  using c3::Mechanism;
-  using enum Mechanism;
+  using enum trace::Mechanism;
   EXPECT_EQ(compile_idl("sched").mechanisms(), (c3::MechanismSet{kR0, kT0, kT1}));
   EXPECT_EQ(compile_idl("lock").mechanisms(), (c3::MechanismSet{kR0, kT0, kT1}));
   EXPECT_EQ(compile_idl("tmr").mechanisms(), (c3::MechanismSet{kR0, kT0, kT1}));

@@ -428,7 +428,7 @@ TEST(StorageInvariantTest, UnfinishedRebuildViolates) {
 
 TEST(StorageInvariantTest, TruncatedWindowSuppressesPrefixChecks) {
   trace::InvariantChecker checker;
-  checker.begin(true);  // Ring overflow: the micro-reboot may be evicted.
+  checker.begin(true);  // Log overflow: the micro-reboot may be evicted.
   checker.feed(make_event(1, trace::EventKind::kStorageRebuildBegin, 7));
   checker.feed(make_event(2, trace::EventKind::kStorageRebuildEnd, 7));
   checker.finish();

@@ -10,7 +10,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "components/system.hpp"
 #include "components/trace_check.hpp"
@@ -67,17 +71,20 @@ TEST(TracerTest, RecordsInSeqOrderAndAnswersQueries) {
 }
 
 TEST(TracerTest, ClearDiscardsEverything) {
+  // set_capacity clears the log: every event goes and seq restarts at 0.
   Tracer tracer;
   tracer.set_enabled(true);
   tracer.record(1, EventKind::kFault, 1, 1);
-  tracer.clear();
+  tracer.set_capacity(Tracer::kDefaultCapacity);
   EXPECT_TRUE(tracer.snapshot().events.empty());
   tracer.record(2, EventKind::kFault, 1, 1);
-  EXPECT_EQ(tracer.snapshot().events.size(), 1u);
+  const auto snap = tracer.snapshot();
+  ASSERT_EQ(snap.events.size(), 1u);
+  EXPECT_EQ(snap.events.front().seq, 0u);
 }
 
 TEST(TracerTest, OverflowEvictsOldestAndReportsDropped) {
-  Tracer tracer(/*ring_capacity=*/4);
+  Tracer tracer(/*capacity=*/4);
   tracer.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
     tracer.record(static_cast<kernel::VirtualTime>(i), EventKind::kInvokeEnter, 1, 1,
@@ -145,11 +152,11 @@ TEST(TracerTest, ChunkedRingRecordsAgainAfterClearAndSetCapacity) {
   Tracer tracer(kChunkedCapacity);
   tracer.set_enabled(true);
   record_numbered(tracer, 0, 3 * kChunkedCapacity + 50);  // Write position mid-ring.
-  tracer.clear();
+  tracer.set_capacity(kChunkedCapacity);
   auto snap = tracer.snapshot();
   EXPECT_TRUE(snap.events.empty());
   EXPECT_EQ(snap.dropped, 0u);
-  // Across the first chunk boundary after clear(): seq restarts at 0.
+  // Across the first chunk boundary after set_capacity(): seq restarts at 0.
   record_numbered(tracer, 0, kChunk + 1);
   snap = tracer.snapshot();
   EXPECT_EQ(snap.dropped, 0u);
@@ -168,6 +175,73 @@ TEST(TracerTest, ChunkedRingRecordsAgainAfterClearAndSetCapacity) {
   EXPECT_EQ(snap.dropped, 10u);
   expect_numbered(snap, 10, smaller);
   EXPECT_EQ(snap.events.front().seq, 10u);
+}
+
+TEST(TracerTest, OverflowKeepsNewestEventsOfWholeStream) {
+  Tracer tracer(/*capacity=*/50);
+  tracer.set_enabled(true);
+  // Two host threads record in turn. Both stay alive until the second is
+  // done: a joined thread's id can be reused by the next one.
+  std::promise<void> first_done;
+  std::promise<void> second_done;
+  std::future<void> first_recorded = first_done.get_future();
+  std::future<void> second_recorded = second_done.get_future();
+  std::thread first([&] {
+    record_numbered(tracer, 0, 10);
+    first_done.set_value();
+    second_recorded.wait();
+  });
+  std::thread second([&] {
+    first_recorded.wait();
+    record_numbered(tracer, 10, 100);
+    second_done.set_value();
+  });
+  first.join();
+  second.join();
+
+  // The log keeps the newest 50 of all 110 events, whichever thread wrote
+  // them: seqs 60-109, and the first thread's 10 are among the dropped.
+  const auto snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 60u);
+  expect_numbered(snap, 60, 50);
+  EXPECT_EQ(snap.events.front().seq, 60u);
+  EXPECT_EQ(snap.events.back().seq, 109u);
+}
+
+TEST(TracerTest, ConcurrentWritersFillDistinctSlots) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 20000;
+  Tracer tracer;
+  tracer.set_enabled(true);
+  std::latch start(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 1; w <= kWriters; ++w) {
+    writers.emplace_back([&tracer, &start, w] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kPerWriter; ++i) {
+        tracer.record(static_cast<kernel::VirtualTime>(i), EventKind::kInvokeEnter, 1,
+                      static_cast<kernel::ThreadId>(w), /*a=*/i);
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+
+  const auto snap = tracer.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  ASSERT_EQ(snap.events.size(), static_cast<std::size_t>(kWriters * kPerWriter));
+  // Slot i holds seq i, so every seq appears exactly once; each writer's
+  // payloads appear in the order it recorded them.
+  std::vector<int> next(kWriters + 1, 0);
+  std::size_t misplaced = 0;
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < snap.events.size(); ++i) {
+    const Event& ev = snap.events[i];
+    if (ev.seq != i) ++misplaced;
+    if (ev.thd < 1 || ev.thd > kWriters || ev.a != next[ev.thd]++) ++out_of_order;
+  }
+  EXPECT_EQ(misplaced, 0u);
+  EXPECT_EQ(out_of_order, 0u);
+  for (int w = 1; w <= kWriters; ++w) EXPECT_EQ(next[w], kPerWriter) << "writer " << w;
 }
 
 TEST(TracerTest, DescribeAndChromeExportRenderEvents) {
@@ -445,7 +519,7 @@ TEST(TraceOverflowTest, EvictionKeepsCheckerSoundOnLongRuns) {
   SystemConfig config;
   config.trace = true;
   System sys(config);
-  // Tiny rings: the run below records far more than 64 events per thread.
+  // A tiny log: the run below records far more than 64 events.
   sys.kernel().tracer().set_capacity(64);
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
@@ -459,7 +533,7 @@ TEST(TraceOverflowTest, EvictionKeepsCheckerSoundOnLongRuns) {
   });
 
   const auto snap = sys.kernel().tracer().snapshot();
-  ASSERT_TRUE(snap.truncated()) << "scenario too small to overflow 64-slot rings";
+  ASSERT_TRUE(snap.truncated()) << "scenario too small to overflow a 64-slot log";
 
   InvariantChecker checker(components::checker_hooks(sys));
   const auto violations = checker.check(snap);
