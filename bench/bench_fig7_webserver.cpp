@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,6 @@
 #include "components/trace_check.hpp"
 #include "util/stats.hpp"
 #include "websrv/loadgen.hpp"
-#include "websrv/server.hpp"
 
 namespace sg {
 namespace {
@@ -59,17 +59,24 @@ constexpr Variant kVariants[] = {
     {"COMPOSITE + SuperGlue, faults injected", FtMode::kSuperGlue, true, true},
 };
 
-websrv::WebServerResult run_once(const Variant& variant, int requests,
-                                 kernel::VirtualTime fault_period) {
+/// A fresh System for `variant`. The open loop traces every run, to check
+/// its recovery invariants.
+std::unique_ptr<components::System> make_system(const Variant& variant, bool traced) {
   components::SystemConfig config;
   config.mode = variant.mode;
-  components::System sys(config);
-  if (variant.mode == FtMode::kC3) c3stubs::install_c3_stubs(sys);
+  config.trace = config.trace || traced;
+  auto sys = std::make_unique<components::System>(config);
+  if (variant.mode == FtMode::kC3) c3stubs::install_c3_stubs(*sys);
+  return sys;
+}
+
+websrv::WebServerResult run_once(const Variant& variant, int requests,
+                                 kernel::VirtualTime fault_period) {
   websrv::WebServerConfig web;
   web.total_requests = requests;
   web.componentized = variant.componentized;
   web.fault_period = variant.faults ? fault_period : 0;
-  return websrv::run_web_server(sys, web);
+  return websrv::run_web_server(*make_system(variant, /*traced=*/false), web);
 }
 
 int usage() {
@@ -140,27 +147,22 @@ int open_loop_main(int argc, char** argv, bool emit_json, int requests,
   bool whole_streams = true;
 
   for (const Variant& variant : kVariants) {
-    components::SystemConfig config;
-    config.mode = variant.mode;
-    config.trace = true;  // Every open-loop run is invariant-checked.
-    components::System sys(config);
-    if (variant.mode == FtMode::kC3) c3stubs::install_c3_stubs(sys);
-
+    const auto sys = make_system(variant, /*traced=*/true);
     websrv::OpenLoopConfig open;
     open.rate = rate;
     open.duration_us = duration;
     open.seed = static_cast<std::uint64_t>(seed);
     open.componentized = variant.componentized;
     open.fault_period = variant.faults ? fault_period : 0;
-    const auto result = websrv::run_open_loop(sys, open);
+    const auto result = websrv::run_open_loop(*sys, open);
 
-    const trace::Tracer::Snapshot snap = sys.kernel().tracer().snapshot();
-    const auto violations = trace::InvariantChecker(components::checker_hooks(sys)).check(snap);
+    const auto violations = components::check_recovery_invariants(*sys);
     for (const auto& violation : violations) {
       std::fprintf(stderr, "INVARIANT VIOLATION [%s]: %s\n", variant.label, violation.c_str());
     }
     if (!violations.empty()) invariants_ok = false;
-    if (snap.truncated()) whole_streams = false;
+    const trace::Tracer& tracer = sys->kernel().tracer();
+    if (tracer.dropped() != 0) whole_streams = false;
 
     char avail[32], goodput[64];
     std::snprintf(avail, sizeof(avail), "%.4f", result.availability);
@@ -172,8 +174,7 @@ int open_loop_main(int argc, char** argv, bool emit_json, int requests,
                    std::to_string(result.latency.percentile(99.9)),
                    std::to_string(result.latency.max()), goodput,
                    std::to_string(result.crashes_injected),
-                   std::to_string(snap.events.size() + snap.dropped),
-                   std::to_string(snap.dropped)});
+                   std::to_string(tracer.recorded()), std::to_string(tracer.dropped())});
 
     if (variant.mode == FtMode::kSuperGlue && variant.faults) {
       open_loop_fault_avail = result.availability;

@@ -30,7 +30,6 @@
 #include "swifi/stress.hpp"
 #include "swifi/swifi.hpp"
 #include "swifi/workloads.hpp"
-#include "trace/invariants.hpp"
 #include "util/stats.hpp"
 
 /// Writes Chrome trace_event JSON captured by a traced run to `path` (load
@@ -196,9 +195,8 @@ static int run_multicore_mode(int cores, long long requested_episodes, bool emit
 
   int concurrent_violations = 0;
   if (!crashed) {
-    sg::trace::InvariantChecker checker(sg::components::checker_hooks(sys));
     concurrent_violations =
-        static_cast<int>(checker.check(kern.tracer().snapshot()).size());
+        static_cast<int>(sg::components::check_recovery_invariants(sys).size());
   }
   const int iterations = lock_state.iterations + evt_state.iterations + tmr_state.iterations +
                          ramfs_state.iterations;

@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "components/system.hpp"
-#include "websrv/server.hpp"
+#include "websrv/loadgen.hpp"
 
 using namespace sg;
 

@@ -36,7 +36,7 @@ trace::CheckerHooks checker_hooks(System& sys) {
 
 std::vector<std::string> check_recovery_invariants(System& sys) {
   trace::InvariantChecker checker(checker_hooks(sys));
-  return checker.check(sys.kernel().tracer().snapshot());
+  return checker.check(sys.kernel().tracer());
 }
 
 std::string dump_chrome_trace(System& sys, const std::string& stem,

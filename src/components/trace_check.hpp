@@ -20,9 +20,10 @@ trace::NameFn comp_namer(System& sys);
 /// borrow the System; use them only while it is alive.
 trace::CheckerHooks checker_hooks(System& sys);
 
-/// Runs the invariant checker over everything the System's tracer recorded.
-/// Returns the violations (empty == the recovery paths were sound). When the
-/// log overflowed the checker runs in truncation-lenient mode.
+/// Runs the invariant checker over every event the System's tracer keeps,
+/// walking the log in place. Returns the violations (empty == the recovery
+/// paths were sound). When the log overflowed the checker runs in
+/// truncation-lenient mode.
 std::vector<std::string> check_recovery_invariants(System& sys);
 
 /// Writes the System's trace as Chrome trace_event JSON into the directory

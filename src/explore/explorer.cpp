@@ -8,7 +8,6 @@
 #include "components/system.hpp"
 #include "components/trace_check.hpp"
 #include "swifi/workloads.hpp"
-#include "trace/invariants.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 
@@ -309,23 +308,25 @@ Execution Explorer::run_one(const Schedule& schedule) const {
     out.failed = true;
     out.reason = "workload did not complete (lost wakeup?)";
   }
-  if (!opts_.capture_trace && out.crashed) return out;
-  const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
+  trace::Tracer::Snapshot snap;
   if (opts_.capture_trace) {
+    snap = kern.tracer().snapshot();
     out.trace = trace::format_normalized(snap.events, components::comp_namer(sys));
   }
-  if (!out.crashed) {
-    // A crash stops the log mid-recovery; the invariants only promise
-    // anything about runs the machine survived.
-    trace::InvariantChecker checker(components::checker_hooks(sys));
-    out.violations = checker.check(snap);
-    if (!out.failed && !out.violations.empty()) {
-      out.failed = true;
-      out.reason = "invariant: " + out.violations.front();
-    }
-    // Failing executions are leaves (never extended), so the commutation
-    // metadata is only derived for runs the enumerator will grow from.
-    if (!out.failed) derive_footprints(out, snap, opts_);
+  // A crash stops the log mid-recovery; the invariants only promise anything
+  // about runs the machine survived.
+  if (out.crashed) return out;
+  out.violations = components::check_recovery_invariants(sys);
+  if (!out.failed && !out.violations.empty()) {
+    out.failed = true;
+    out.reason = "invariant: " + out.violations.front();
+  }
+  // Failing executions are leaves (never extended), so the commutation
+  // metadata, which indexes the events, is only derived for runs the
+  // enumerator will grow from.
+  if (!out.failed) {
+    if (!opts_.capture_trace) snap = kern.tracer().snapshot();
+    derive_footprints(out, snap, opts_);
   }
   return out;
 }

@@ -58,7 +58,7 @@ void finalize(System& sys, CompId escalation_comp, StressReport& report) {
     report.trace_truncated = snap.truncated();
     if (report.crash.empty()) {
       trace::InvariantChecker checker(components::checker_hooks(sys));
-      report.trace_violations = checker.check(snap);
+      report.trace_violations = checker.check(sys.kernel().tracer());
       report.trace_max_concurrent_domains = checker.max_concurrent_domains();
     }
   }

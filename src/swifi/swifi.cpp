@@ -160,16 +160,14 @@ EpisodeResult Campaign::run_episode_detail(const std::string& service, std::uint
     // A crash stops the log mid-recovery; the invariants only promise
     // anything about runs the machine survived. A captured trace is checked
     // even when the options do not ask for it.
-    const bool check = !crashed && (options.check_invariants || trace_out != nullptr);
-    if (!sys.config().trace || (!check && trace_out == nullptr)) return result;
-    const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
-    if (check) {
-      trace::InvariantChecker checker(components::checker_hooks(sys));
-      const auto violations = checker.check(snap);
+    if (!sys.config().trace) return result;
+    if (!crashed && (options.check_invariants || trace_out != nullptr)) {
+      const auto violations = components::check_recovery_invariants(sys);
       result.invariant_violations = static_cast<int>(violations.size());
       if (trace_out != nullptr) trace_out->violations = violations;
     }
     if (trace_out != nullptr) {
+      const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
       const trace::NameFn names = components::comp_namer(sys);
       trace_out->normalized = trace::format_normalized(snap.events, names);
       std::ostringstream json;

@@ -302,9 +302,9 @@ void InvariantChecker::finish() {
   }
 }
 
-std::vector<std::string> InvariantChecker::check(const Tracer::Snapshot& snapshot) {
-  begin(snapshot.truncated());
-  for (const Event& ev : snapshot.events) feed(ev);
+std::vector<std::string> InvariantChecker::check(const Tracer& tracer) {
+  begin(tracer.dropped() != 0);
+  tracer.for_each([this](const Event& ev) { feed(ev); });
   finish();
   return violations_;
 }

@@ -45,7 +45,7 @@ struct CheckerHooks {
 ///      no scoped domain open, every release matches an acquire, and a
 ///      complete window closes every domain it opened.
 ///
-/// Truncation soundness: when the log overflowed (snapshot.dropped > 0), the
+/// Truncation soundness: when the log overflowed (Tracer::dropped() > 0), the
 /// window may start mid-recovery, so orphan walk events and
 /// already-pending faults are *not* violations. begin(truncated=true) makes
 /// the checker report "window truncated" in notices() and suppress every
@@ -58,8 +58,9 @@ class InvariantChecker {
   void feed(const Event& event);
   void finish();
 
-  /// Convenience: begin + feed-all + finish over a snapshot.
-  std::vector<std::string> check(const Tracer::Snapshot& snapshot);
+  /// Convenience: begin + feed every event `tracer` keeps, walked in place
+  /// (Tracer::for_each) + finish. An overflowed log is a truncated window.
+  std::vector<std::string> check(const Tracer& tracer);
 
   const std::vector<std::string>& violations() const { return violations_; }
   /// Non-violation diagnostics ("window truncated", ...).

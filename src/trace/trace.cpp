@@ -113,23 +113,32 @@ void Tracer::record_slow(Event ev) {
   chunk[slot % kChunkEvents] = ev;
 }
 
-Tracer::Snapshot Tracer::snapshot() const {
-  Snapshot snap;
-  const std::uint64_t recorded = seq_.load(std::memory_order_relaxed);
-  const std::uint64_t kept = std::min<std::uint64_t>(recorded, capacity_);
-  snap.dropped = recorded - kept;
-  snap.events.reserve(kept);
-  // The kept events are seqs [dropped, recorded). Copy them in runs that end
-  // at a chunk's end, at the log's end (where slots wrap) or at the newest.
-  for (std::uint64_t seq = snap.dropped; seq < recorded;) {
+std::uint64_t Tracer::dropped() const {
+  const std::uint64_t n = recorded();
+  return n > capacity_ ? n - capacity_ : 0;
+}
+
+void Tracer::for_each_run(const std::function<void(const Event*, std::size_t)>& visit) const {
+  const std::uint64_t end = recorded();
+  // The kept events are seqs [dropped(), recorded()). Walk them in runs that
+  // end at a chunk's end, at the log's end (where slots wrap) or at the newest.
+  for (std::uint64_t seq = dropped(); seq < end;) {
     const std::size_t slot = seq % capacity_;
     const std::size_t offset = slot % kChunkEvents;
     const std::size_t run =
-        std::min<std::uint64_t>({kChunkEvents - offset, capacity_ - slot, recorded - seq});
-    const Event* chunk = chunks_[slot / kChunkEvents].load(std::memory_order_relaxed);
-    snap.events.insert(snap.events.end(), chunk + offset, chunk + offset + run);
+        std::min<std::uint64_t>({kChunkEvents - offset, capacity_ - slot, end - seq});
+    visit(chunks_[slot / kChunkEvents].load(std::memory_order_relaxed) + offset, run);
     seq += run;
   }
+}
+
+Tracer::Snapshot Tracer::snapshot() const {
+  Snapshot snap;
+  snap.dropped = dropped();
+  snap.events.reserve(recorded() - snap.dropped);
+  for_each_run([&snap](const Event* run, std::size_t count) {
+    snap.events.insert(snap.events.end(), run, run + count);
+  });
   return snap;
 }
 

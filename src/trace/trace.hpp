@@ -130,8 +130,8 @@ using NameFn = std::function<std::string(kernel::CompId)>;
 /// chunk, not its capacity.
 ///
 /// Overflow policy: the log keeps the newest `capacity` events of the whole
-/// stream and evicts the oldest; snapshot() reports how many were dropped so
-/// consumers (the invariant checker) can switch to truncation-lenient
+/// stream and evicts the oldest; dropped() (and a snapshot) reports how many
+/// so consumers (the invariant checker) can switch to truncation-lenient
 /// interpretation instead of reporting false violations.
 class Tracer {
  public:
@@ -189,6 +189,21 @@ class Tracer {
   /// kernel's hand-off between simulated threads) orders the writes first.
   Snapshot snapshot() const;
 
+  /// Calls `visit(event)` on each kept event in ascending seq, in place: the
+  /// events snapshot() copies, walked in the same chunk runs, without the
+  /// copy. Same calling rule as snapshot().
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for_each_run([&visit](const Event* run, std::size_t count) {
+      for (const Event* ev = run; ev != run + count; ++ev) visit(*ev);
+    });
+  }
+
+  /// Events recorded since construction or the last set_capacity().
+  std::uint64_t recorded() const { return seq_.load(std::memory_order_relaxed); }
+  /// The oldest of them, evicted by log overflow (Snapshot::dropped).
+  std::uint64_t dropped() const;
+
   /// Sets the capacity, discarding every event and chunk and restarting seq
   /// at 0. Tests use tiny capacities to exercise the overflow policy. Not
   /// concurrent with record().
@@ -196,6 +211,9 @@ class Tracer {
 
  private:
   void record_slow(Event ev);
+  /// Calls `visit(first, count)` per run of kept events that is contiguous
+  /// in one chunk, oldest run first.
+  void for_each_run(const std::function<void(const Event*, std::size_t)>& visit) const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> seq_{0};  ///< Events ever recorded.

@@ -1,12 +1,9 @@
 #include "websrv/server.hpp"
 
-#include <chrono>
-#include <deque>
-#include <mutex>
+#include <optional>
 #include <string>
 
 #include "c3/storage.hpp"
-#include "util/assert.hpp"
 #include "websrv/http.hpp"
 
 namespace sg::websrv {
@@ -302,41 +299,7 @@ void RequestEngine::Worker::shutdown() {
   if (w.idle_timer > 0) w.tmr.free(w.comp.id(), w.idle_timer);
 }
 
-// --- closed-loop driver ------------------------------------------------------
-
-namespace {
-
-/// One queued request: the connection it arrived on plus its slice in that
-/// connection's ring.
-struct WorkItem {
-  Value conn = 0;
-  Slice req;
-};
-
-/// State shared between the load generator, the workers, and the crasher.
-/// All cross-thread data is either behind the short-hold host mutex or an
-/// atomic — SharedState used to be bare ints and a bare deque, which was a
-/// data race the moment SG_CORES>1 ran two workers in parallel.
-struct SharedState {
-  std::mutex mu;               ///< Guards queue and window_counts.
-  std::deque<WorkItem> queue;
-  std::atomic<int> outstanding{0};
-  std::atomic<int> issued{0};
-  std::atomic<int> completed{0};
-  std::atomic<int> errors{0};
-  std::atomic<bool> ready{false};
-  std::atomic<bool> done{false};
-  // Service descriptors: written during setup (before `ready` flips),
-  // read-only afterwards.
-  Value done_evt = 0;
-  std::vector<Value> worker_evts;
-  std::vector<int> window_counts;  ///< Completions per virtual-time window (mu).
-  // Timing (loadgen thread only; read after kern.run() joins).
-  std::chrono::steady_clock::time_point start;
-  std::chrono::steady_clock::time_point stop;
-};
-
-}  // namespace
+// --- documents -----------------------------------------------------------------
 
 std::vector<std::pair<std::string, std::string>> bench_documents() {
   std::vector<std::pair<std::string, std::string>> docs;
@@ -355,192 +318,6 @@ std::vector<std::pair<std::string, std::string>> bench_documents() {
     ++which;
   }
   return docs;
-}
-
-WebServerResult run_web_server(System& sys, const WebServerConfig& config) {
-  auto& kern = sys.kernel();
-  RequestEngine engine(sys, config.componentized);
-  auto shared = std::make_shared<SharedState>();
-  std::vector<std::unique_ptr<RequestEngine::Worker>> workers;
-  for (int worker = 0; worker < config.workers; ++worker) {
-    workers.push_back(std::make_unique<RequestEngine::Worker>(engine, worker));
-  }
-
-  WebServerResult result;
-
-  // --- load generator (ab): also performs system setup -----------------------
-  kern.thd_create("loadgen", 20, [&sys, &kern, &engine, shared, &config] {
-    components::EvtClient evt(sys.invoker(engine.netif(), "evt"));
-    components::FsClient fs(sys.invoker(engine.netif(), "ramfs"), sys.cbufs(),
-                            engine.netif_id());
-
-    if (config.componentized) {
-      shared->done_evt = evt.split(engine.netif_id());
-      for (int worker = 0; worker < config.workers; ++worker) {
-        shared->worker_evts.push_back(evt.split(engine.netif_id()));
-      }
-      // Populate the document tree in the RamFS.
-      for (const auto& [pathid, body] : engine.documents()) {
-        const Value fd = fs.open(pathid);
-        fs.write(fd, body);
-        fs.close(fd);
-      }
-    }
-    shared->ready.store(true);
-
-    const auto paths = bench_documents();
-    auto& conns = engine.connections();
-    std::vector<Value> pool(static_cast<std::size_t>(std::max(1, config.concurrency)));
-    for (auto& conn : pool) conn = conns.open();
-
-    shared->start = std::chrono::steady_clock::now();
-    int round_robin = 0;
-    for (int i = 0; i < config.total_requests; ++i) {
-      while (shared->outstanding.load() >= config.concurrency) {
-        if (config.componentized) {
-          const Value drained = evt.wait(engine.netif_id(), shared->done_evt);
-          shared->outstanding.fetch_sub(static_cast<int>(std::max<Value>(drained, 0)));
-        } else {
-          kern.yield();
-        }
-      }
-      const std::string raw =
-          build_request(paths[static_cast<std::size_t>(i) % paths.size()].first);
-      const std::size_t slot = static_cast<std::size_t>(i) % pool.size();
-      auto slice = conns.submit(pool[slot], raw);
-      if (!slice.has_value()) {
-        // Ring full with requests still in flight: retire the connection
-        // (closed once drained, at teardown) and open a fresh one.
-        pool[slot] = conns.open();
-        slice = conns.submit(pool[slot], raw);
-      }
-      SG_ASSERT_MSG(slice.has_value(), "fresh connection rejected a request");
-      {
-        std::lock_guard<std::mutex> guard(shared->mu);
-        shared->queue.push_back(WorkItem{pool[slot], *slice});
-      }
-      shared->outstanding.fetch_add(1);
-      shared->issued.fetch_add(1);
-      if (config.componentized) {
-        evt.trigger(engine.netif_id(),
-                    shared->worker_evts[static_cast<std::size_t>(round_robin++) %
-                                        shared->worker_evts.size()]);
-      }
-    }
-    while (shared->outstanding.load() > 0) {
-      if (config.componentized) {
-        const Value drained = evt.wait(engine.netif_id(), shared->done_evt);
-        shared->outstanding.fetch_sub(static_cast<int>(std::max<Value>(drained, 0)));
-      } else {
-        kern.yield();
-      }
-    }
-    shared->stop = std::chrono::steady_clock::now();
-    shared->done.store(true);
-    if (config.componentized) {
-      for (const Value worker_evt : shared->worker_evts) {
-        evt.trigger(engine.netif_id(), worker_evt);
-      }
-    }
-  });
-
-  // --- workers ----------------------------------------------------------------
-  for (int worker = 0; worker < config.workers; ++worker) {
-    kern.thd_create("worker-" + std::to_string(worker), 20, [&kern, &engine, shared, &config,
-                                                             worker, &workers, &result] {
-      RequestEngine::Worker& w = *workers[static_cast<std::size_t>(worker)];
-      while (!shared->ready.load()) kern.yield();
-      w.init();
-
-      auto complete_one = [&kern, shared, &result](bool ok) {
-        if (ok) {
-          shared->completed.fetch_add(1);
-        } else {
-          shared->errors.fetch_add(1);
-        }
-        const auto window = static_cast<std::size_t>(kern.now() / result.window_us);
-        std::lock_guard<std::mutex> guard(shared->mu);
-        if (shared->window_counts.size() <= window) shared->window_counts.resize(window + 1, 0);
-        ++shared->window_counts[window];
-      };
-
-      for (;;) {
-        if (config.componentized) {
-          w.wait(shared->worker_evts[static_cast<std::size_t>(worker)]);
-        }
-        for (;;) {
-          WorkItem item;
-          {
-            std::lock_guard<std::mutex> guard(shared->mu);
-            if (!shared->queue.empty()) {
-              item = shared->queue.front();
-              shared->queue.pop_front();
-            }
-          }
-          if (!item.req.valid()) break;
-          const bool ok = w.serve(item.req);
-          engine.connections().complete(item.conn);
-          complete_one(ok);
-          if (config.componentized) {
-            w.notify(shared->done_evt);
-          } else {
-            shared->outstanding.fetch_sub(1);  // Monolith path: no completion
-                                               // event; the load generator
-                                               // polls this counter.
-          }
-        }
-        if (shared->done.load()) {
-          w.shutdown();
-          break;
-        }
-        if (!config.componentized) {
-          bool drained = false;
-          {
-            std::lock_guard<std::mutex> guard(shared->mu);
-            drained = shared->queue.empty();
-          }
-          if (shared->issued.load() >= config.total_requests && drained) {
-            w.shutdown();
-            break;
-          }
-          kern.yield();
-        }
-      }
-    });
-  }
-
-  // --- fault injector (Fig 7 red crosses) -------------------------------------
-  if (config.fault_period > 0) {
-    kern.thd_create("crasher", 5, [&sys, &kern, shared, &config, &result] {
-      const std::vector<std::string>& services =
-          config.fault_targets.empty() ? sys.service_names() : config.fault_targets;
-      std::size_t next = 0;
-      while (!shared->done.load()) {
-        kern.block_current_until(kern.now() + config.fault_period);
-        if (shared->done.load()) break;
-        kern.inject_crash(sys.service_component(services[next % services.size()]).id());
-        ++next;
-        ++result.crashes_injected;
-        result.crash_windows.push_back(
-            static_cast<int>(kern.now() / std::max<kernel::VirtualTime>(1, result.window_us)));
-      }
-    });
-  }
-
-  kern.run();
-
-  result.completed = shared->completed.load();
-  result.errors = shared->errors.load();
-  result.completed_per_window = shared->window_counts;
-  result.elapsed_sec = std::chrono::duration<double>(shared->stop - shared->start).count();
-  result.requests_per_sec =
-      result.elapsed_sec > 0 ? result.completed / result.elapsed_sec : 0.0;
-  result.cache_hits = engine.cache().hits();
-  result.cache_misses = engine.cache().misses();
-  result.cache_invalidations = engine.cache().invalidations();
-  result.handle_refreshes = engine.handle_refreshes();
-  result.connections_opened = engine.connections().connections_opened();
-  return result;
 }
 
 }  // namespace sg::websrv

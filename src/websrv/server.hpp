@@ -12,57 +12,16 @@
 
 namespace sg::websrv {
 
-/// Configuration of one closed-loop web-server benchmark run (§V-E): `ab`
-/// issues `total_requests` with at most `concurrency` outstanding; the server
-/// is either the componentized COMPOSITE web server (using all six system
-/// services) or the monolithic baseline standing in for Apache-on-Linux.
-struct WebServerConfig {
-  int workers = 3;
-  int total_requests = 50000;
-  int concurrency = 10;
-  /// false => monolithic fast path (the Apache stand-in, see DESIGN.md).
-  bool componentized = true;
-  /// Crash one system component every `fault_period` virtual µs (0 = never),
-  /// rotating through the six services — the red crosses of Fig 7.
-  kernel::VirtualTime fault_period = 0;
-  /// Restrict crash injection to these services (names as in
-  /// System::service_names()); empty = rotate through all six. The
-  /// stale-handle regression tests pin this to ramfs/mman so base mode (no
-  /// recovery stubs) is exercised against exactly the services whose
-  /// descriptors the workers cache.
-  std::vector<std::string> fault_targets;
-};
-
-struct WebServerResult {
-  int completed = 0;
-  int errors = 0;
-  double elapsed_sec = 0.0;
-  double requests_per_sec = 0.0;
-  int crashes_injected = 0;
-  /// Completed requests per virtual-time window (for the Fig 7 timeline),
-  /// plus the windows in which a crash was injected.
-  kernel::VirtualTime window_us = 20000;
-  std::vector<int> completed_per_window;
-  std::vector<int> crash_windows;
-  /// Connection-layer + response-cache accounting (zero-copy path proof).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_invalidations = 0;
-  std::uint64_t handle_refreshes = 0;
-  std::uint64_t connections_opened = 0;
-};
-
-/// The request pipeline shared by the closed-loop harness (run_web_server)
-/// and the open-loop generator (run_open_loop, websrv/loadgen.hpp): HTTP
-/// parse in the httpd component, per-worker descriptor caches against the
-/// six system services, slice-served responses out of a shared ResponseCache,
-/// and the connection-layer network cost — identical per byte for the
-/// componentized and monolithic variants.
+/// The request pipeline the serving harness (websrv/loadgen.hpp) drives under
+/// both load models: HTTP parse in the httpd component, per-worker descriptor
+/// caches against the six system services, slice-served responses out of a
+/// shared ResponseCache, and the connection-layer network cost — identical
+/// per byte for the componentized and monolithic variants.
 ///
 /// Worker contexts each own a private application component, so their C3 /
 /// SuperGlue client stubs are per-thread (no shared-stub mutation across
 /// cores); all cross-worker state (response cache, connection rings, the
-/// request queue in the drivers) is either a trusted short-hold-mutex
+/// request queue in the harness) is either a trusted short-hold-mutex
 /// structure or a plain atomic. That is what makes the suite clean under
 /// ThreadSanitizer at SG_CORES=4 (enforced by CI).
 class RequestEngine {
@@ -143,12 +102,6 @@ class RequestEngine {
   std::map<kernel::Value, std::uint64_t> expected_sum_;
   std::atomic<std::uint64_t> handle_refreshes_{0};
 };
-
-/// Runs the closed-loop web-server benchmark on an already-constructed
-/// System (whose FtMode decides base/C3/SuperGlue). Builds the server
-/// components, the load generator, and (optionally) the fault injector;
-/// drives the kernel to completion; returns the measured throughput.
-WebServerResult run_web_server(components::System& system, const WebServerConfig& config);
 
 /// The document set served by the benchmark (path -> body).
 std::vector<std::pair<std::string, std::string>> bench_documents();

@@ -6,20 +6,23 @@
 // Each case hashes a canonical rendering (FNV-1a 64) at 1 and at 4 workers:
 // the campaign JSON over every target and all three fault profiles with
 // supervision and the invariant checker on, the fleet JSON, and two explorer
-// sweeps (execution count, pruning counters and the explored schedules). One
-// more case pins a traced 125 ms open-loop web run, which has no workers.
+// sweeps (execution count, pruning counters and the explored schedules). Two
+// more cases, which have no workers, pin a traced 125 ms open-loop web run and
+// two closed-loop web runs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/fleet.hpp"
 #include "components/trace_check.hpp"
 #include "explore/explorer.hpp"
 #include "websrv/loadgen.hpp"
+#include "websrv/server.hpp"
 
 namespace sg {
 namespace {
@@ -137,6 +140,57 @@ TEST(SeededWebOutputsTest, OpenLoopJsonIsPinned) {
   EXPECT_EQ(result.crashes_injected, 1);
   EXPECT_EQ(hex(fnv1a(result.to_json("superglue"))), "461dd8b102ebe96d");
   EXPECT_TRUE(components::check_recovery_invariants(sys).empty());
+}
+
+// The closed loop (`ab`) on one core: every virtual-time field of the result,
+// the virtual clock at the end of the run and the kernel's invocation count.
+// The wall-clock fields (elapsed_sec, requests_per_sec) are not pinned.
+TEST(SeededWebOutputsTest, ClosedLoopResultsArePinned) {
+  {  // The componentized server under SuperGlue, a crash every 5 ms.
+    components::SystemConfig config;
+    config.mode = components::FtMode::kSuperGlue;
+    config.cores = 1;
+    components::System sys(config);
+    websrv::WebServerConfig web;
+    web.total_requests = 3000;
+    web.fault_period = 5000;
+    const websrv::WebServerResult result = websrv::run_web_server(sys, web);
+    EXPECT_EQ(result.completed, 3000);
+    EXPECT_EQ(result.errors, 0);
+    EXPECT_EQ(result.crashes_injected, 5);
+    EXPECT_EQ(result.window_us, 20000u);
+    EXPECT_EQ(result.completed_per_window, (std::vector<int>{2150, 850}));
+    EXPECT_EQ(result.crash_windows, (std::vector<int>{0, 0, 0, 1, 1}));
+    EXPECT_EQ(result.cache_hits, 2973u);
+    EXPECT_EQ(result.cache_misses, 27u);
+    EXPECT_EQ(result.cache_invalidations, 2u);
+    EXPECT_EQ(result.handle_refreshes, 72u);
+    EXPECT_EQ(result.connections_opened, 10u);
+    EXPECT_EQ(sys.kernel().now(), 30000u);
+    EXPECT_EQ(sys.kernel().invocation_count(), 27886u);
+  }
+  {  // The monolith.
+    components::SystemConfig config;
+    config.mode = components::FtMode::kNone;
+    config.cores = 1;
+    components::System sys(config);
+    websrv::WebServerConfig web;
+    web.total_requests = 3000;
+    web.componentized = false;
+    const websrv::WebServerResult result = websrv::run_web_server(sys, web);
+    EXPECT_EQ(result.completed, 3000);
+    EXPECT_EQ(result.errors, 0);
+    EXPECT_EQ(result.crashes_injected, 0);
+    EXPECT_EQ(result.completed_per_window, (std::vector<int>{3000}));
+    EXPECT_TRUE(result.crash_windows.empty());
+    EXPECT_EQ(result.cache_hits, 3000u);
+    EXPECT_EQ(result.cache_misses, 0u);
+    EXPECT_EQ(result.cache_invalidations, 0u);
+    EXPECT_EQ(result.handle_refreshes, 0u);
+    EXPECT_EQ(result.connections_opened, 10u);
+    EXPECT_EQ(sys.kernel().now(), 4197u);
+    EXPECT_EQ(sys.kernel().invocation_count(), 3000u);
+  }
 }
 
 }  // namespace

@@ -177,6 +177,31 @@ TEST(TracerTest, ChunkedRingRecordsAgainAfterClearAndSetCapacity) {
   EXPECT_EQ(snap.events.front().seq, 10u);
 }
 
+TEST(TracerTest, ForEachVisitsTheSnapshotsEventsInPlace) {
+  Tracer tracer(kChunkedCapacity);
+  tracer.set_enabled(true);
+  // Before the log fills, then after several wraps that leave the oldest kept
+  // event in the first chunk, the second and the partly used last one.
+  int total = 0;
+  for (const int target : {kChunk + 5, 3 * kChunkedCapacity + 100,
+                           4 * kChunkedCapacity + kChunk + 100,
+                           6 * kChunkedCapacity + 2 * kChunk + 20}) {
+    record_numbered(tracer, total, target - total);
+    total = target;
+    const Tracer::Snapshot snap = tracer.snapshot();
+    std::vector<Event> walked;
+    tracer.for_each([&walked](const Event& ev) { walked.push_back(ev); });
+    ASSERT_EQ(walked.size(), snap.events.size()) << "after " << total << " events";
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      EXPECT_EQ(walked[i].seq, snap.events[i].seq) << "event " << i;
+      EXPECT_EQ(walked[i].a, snap.events[i].a) << "event " << i;
+    }
+    EXPECT_EQ(tracer.dropped(), snap.dropped);
+    EXPECT_EQ(tracer.recorded(), static_cast<std::uint64_t>(total));
+  }
+  EXPECT_EQ(tracer.dropped(), static_cast<std::uint64_t>(total - kChunkedCapacity));
+}
+
 TEST(TracerTest, OverflowKeepsNewestEventsOfWholeStream) {
   Tracer tracer(/*capacity=*/50);
   tracer.set_enabled(true);
@@ -288,42 +313,44 @@ Event make_event(std::uint64_t seq, EventKind kind, kernel::CompId comp,
   return ev;
 }
 
-Tracer::Snapshot make_snapshot(std::vector<Event> events, std::uint64_t dropped = 0) {
-  Tracer::Snapshot snap;
-  snap.events = std::move(events);
-  snap.dropped = dropped;
-  return snap;
+/// Runs `checker` over a hand-built stream the way check() runs it over a
+/// log: begin (a truncated window iff events were dropped), feed, finish.
+std::vector<std::string> check_stream(InvariantChecker& checker, const std::vector<Event>& events,
+                                      std::uint64_t dropped = 0) {
+  checker.begin(dropped != 0);
+  for (const Event& ev : events) checker.feed(ev);
+  checker.finish();
+  return checker.violations();
 }
 
 TEST(InvariantCheckerTest, FaultThenInvokeWithoutRebootViolatesInvariant1) {
   InvariantChecker checker;
-  const auto violations = checker.check(make_snapshot({
+  const auto violations = check_stream(checker, {
       make_event(1, EventKind::kFault, 5),
       make_event(2, EventKind::kInvokeEnter, 5, 1),
-  }));
+  });
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("invariant 1"), std::string::npos);
 }
 
 TEST(InvariantCheckerTest, FaultRebootInvokeIsClean) {
   InvariantChecker checker;
-  EXPECT_TRUE(checker
-                  .check(make_snapshot({
-                      make_event(1, EventKind::kFault, 5),
-                      make_event(2, EventKind::kMicroReboot, 5, 0, 1),
-                      make_event(3, EventKind::kInvokeEnter, 5, 1),
-                  }))
-                  .empty());
+  const auto violations = check_stream(checker, {
+      make_event(1, EventKind::kFault, 5),
+      make_event(2, EventKind::kMicroReboot, 5, 0, 1),
+      make_event(3, EventKind::kInvokeEnter, 5, 1),
+  });
+  EXPECT_TRUE(violations.empty());
 }
 
 TEST(InvariantCheckerTest, QuarantinedInvokeViolatesInvariant4UntilReadmit) {
   InvariantChecker checker;
-  const auto violations = checker.check(make_snapshot({
+  const auto violations = check_stream(checker, {
       make_event(1, EventKind::kQuarantine, 5),
       make_event(2, EventKind::kInvokeEnter, 5, 1),
       make_event(3, EventKind::kReadmit, 5),
       make_event(4, EventKind::kInvokeEnter, 5, 1),  // After readmit: fine.
-  }));
+  });
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("invariant 4"), std::string::npos);
   EXPECT_NE(violations[0].find("seq=2"), std::string::npos);
@@ -331,36 +358,35 @@ TEST(InvariantCheckerTest, QuarantinedInvokeViolatesInvariant4UntilReadmit) {
 
 TEST(InvariantCheckerTest, ValidWalkPathIsClean) {
   InvariantChecker checker;
-  EXPECT_TRUE(checker
-                  .check(make_snapshot({
-                      // Walk of descriptor vid=7 on comp 5, landing in state 2.
-                      make_event(1, EventKind::kWalkBegin, 5, 1, /*a=*/2, /*b=*/2, /*c=*/7),
-                      make_event(2, EventKind::kWalkStep, 5, 1, /*a=*/0, /*b=*/1, 7, /*d=*/11),
-                      make_event(3, EventKind::kWalkStep, 5, 1, /*a=*/1, /*b=*/2, 7, /*d=*/12),
-                      make_event(4, EventKind::kWalkEnd, 5, 1, /*a=*/2, 0, 7),
-                  }))
-                  .empty());
+  const auto violations = check_stream(checker, {
+      // Walk of descriptor vid=7 on comp 5, landing in state 2.
+      make_event(1, EventKind::kWalkBegin, 5, 1, /*a=*/2, /*b=*/2, /*c=*/7),
+      make_event(2, EventKind::kWalkStep, 5, 1, /*a=*/0, /*b=*/1, 7, /*d=*/11),
+      make_event(3, EventKind::kWalkStep, 5, 1, /*a=*/1, /*b=*/2, 7, /*d=*/12),
+      make_event(4, EventKind::kWalkEnd, 5, 1, /*a=*/2, 0, 7),
+  });
+  EXPECT_TRUE(violations.empty());
 }
 
 TEST(InvariantCheckerTest, BrokenWalkChainViolatesInvariant2) {
   InvariantChecker checker;
-  const auto violations = checker.check(make_snapshot({
+  const auto violations = check_stream(checker, {
       make_event(1, EventKind::kWalkBegin, 5, 1, /*a=*/2, /*b=*/2, /*c=*/7),
       // Step replays from state 1 but the chain is still at s0.
       make_event(2, EventKind::kWalkStep, 5, 1, /*a=*/1, /*b=*/2, 7, /*d=*/11),
       make_event(3, EventKind::kWalkEnd, 5, 1, /*a=*/2, 0, 7),
-  }));
+  });
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("invariant 2"), std::string::npos);
 }
 
 TEST(InvariantCheckerTest, WalkEndingShortOfLandingViolatesInvariant2) {
   InvariantChecker checker;
-  const auto violations = checker.check(make_snapshot({
+  const auto violations = check_stream(checker, {
       make_event(1, EventKind::kWalkBegin, 5, 1, /*a=*/2, /*b=*/2, /*c=*/7),
       make_event(2, EventKind::kWalkStep, 5, 1, /*a=*/0, /*b=*/1, 7, /*d=*/11),
       make_event(3, EventKind::kWalkEnd, 5, 1, /*a=*/1, 0, 7),  // Stopped at 1.
-  }));
+  });
   ASSERT_EQ(violations.size(), 2u);  // Wrong landing + chain short of landing.
   EXPECT_NE(violations[0].find("invariant 2"), std::string::npos);
 }
@@ -371,11 +397,11 @@ TEST(InvariantCheckerTest, SigmaInvalidReplayIsFlaggedViaHook) {
     return state == 0 ? 0 : 1;  // Nothing is valid out of s0.
   };
   InvariantChecker checker(std::move(hooks));
-  const auto violations = checker.check(make_snapshot({
+  const auto violations = check_stream(checker, {
       make_event(1, EventKind::kWalkBegin, 5, 1, /*a=*/1, /*b=*/1, /*c=*/7),
       make_event(2, EventKind::kWalkStep, 5, 1, /*a=*/0, /*b=*/1, 7, /*d=*/11),
       make_event(3, EventKind::kWalkEnd, 5, 1, /*a=*/1, 0, 7),
-  }));
+  });
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("sigma-invalid"), std::string::npos);
 }
@@ -388,31 +414,30 @@ TEST(InvariantCheckerTest, GroupRebootMustCoverDeclaredDependentsExactly) {
 
   {
     InvariantChecker checker(hooks);
-    EXPECT_TRUE(checker
-                    .check(make_snapshot({
-                        make_event(1, EventKind::kSupGroupReboot, 1, 0, /*a=*/2),
-                        make_event(2, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
-                        make_event(3, EventKind::kSupGroupMember, 3, 0, 0, 0, 0, /*d=*/1),
-                    }))
-                    .empty());
+    const auto violations = check_stream(checker, {
+        make_event(1, EventKind::kSupGroupReboot, 1, 0, /*a=*/2),
+        make_event(2, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
+        make_event(3, EventKind::kSupGroupMember, 3, 0, 0, 0, 0, /*d=*/1),
+    });
+    EXPECT_TRUE(violations.empty());
   }
   {
     InvariantChecker checker(hooks);  // Dependent 3 never rebooted.
-    const auto violations = checker.check(make_snapshot({
+    const auto violations = check_stream(checker, {
         make_event(1, EventKind::kSupGroupReboot, 1, 0, /*a=*/2),
         make_event(2, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
-    }));
+    });
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_NE(violations[0].find("never rebooted"), std::string::npos);
   }
   {
     InvariantChecker checker(hooks);  // Comp 4 is not a declared dependent.
-    const auto violations = checker.check(make_snapshot({
+    const auto violations = check_stream(checker, {
         make_event(1, EventKind::kSupGroupReboot, 1, 0, /*a=*/3),
         make_event(2, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
         make_event(3, EventKind::kSupGroupMember, 3, 0, 0, 0, 0, /*d=*/1),
         make_event(4, EventKind::kSupGroupMember, 4, 0, 0, 0, 0, /*d=*/1),
-    }));
+    });
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_NE(violations[0].find("not a declared dependent"), std::string::npos);
   }
@@ -426,25 +451,25 @@ TEST(InvariantCheckerTest, QuarantinedDependentIsTrimmedFromGroupExpectation) {
   InvariantChecker checker(std::move(hooks));
   // Comp 3 was quarantined before the group reboot, so the supervisor
   // (correctly) skips it; the checker must not demand its reboot.
-  EXPECT_TRUE(checker
-                  .check(make_snapshot({
-                      make_event(1, EventKind::kQuarantine, 3),
-                      make_event(2, EventKind::kSupGroupReboot, 1, 0, /*a=*/1),
-                      make_event(3, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
-                  }))
-                  .empty());
+  const auto violations = check_stream(checker, {
+      make_event(1, EventKind::kQuarantine, 3),
+      make_event(2, EventKind::kSupGroupReboot, 1, 0, /*a=*/1),
+      make_event(3, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
+  });
+  EXPECT_TRUE(violations.empty());
 }
 
 TEST(InvariantCheckerTest, TruncatedWindowSuppressesPrefixDependentChecks) {
   InvariantChecker checker;
   // An orphan walk step and a dangling group member would both be violations
   // in a complete log; with a lost prefix they are expected artifacts.
-  const auto violations = checker.check(make_snapshot(
+  const auto violations = check_stream(
+      checker,
       {
           make_event(50, EventKind::kWalkStep, 5, 1, /*a=*/1, /*b=*/2, 7, /*d=*/11),
           make_event(51, EventKind::kSupGroupMember, 2, 0, 0, 0, 0, /*d=*/1),
       },
-      /*dropped=*/100));
+      /*dropped=*/100);
   EXPECT_TRUE(violations.empty());
   EXPECT_TRUE(checker.window_truncated());
   ASSERT_FALSE(checker.notices().empty());
@@ -480,7 +505,7 @@ std::string run_golden_scenario() {
 
   // And it was invariant-clean.
   InvariantChecker checker(components::checker_hooks(sys));
-  EXPECT_TRUE(checker.check(snap).empty());
+  EXPECT_TRUE(checker.check(sys.kernel().tracer()).empty());
 
   return trace::format_normalized(snap.events, components::comp_namer(sys));
 }
@@ -532,11 +557,11 @@ TEST(TraceOverflowTest, EvictionKeepsCheckerSoundOnLongRuns) {
     }
   });
 
-  const auto snap = sys.kernel().tracer().snapshot();
-  ASSERT_TRUE(snap.truncated()) << "scenario too small to overflow a 64-slot log";
+  const Tracer& tracer = sys.kernel().tracer();
+  ASSERT_GT(tracer.dropped(), 0u) << "scenario too small to overflow a 64-slot log";
 
   InvariantChecker checker(components::checker_hooks(sys));
-  const auto violations = checker.check(snap);
+  const auto violations = checker.check(tracer);
   EXPECT_TRUE(violations.empty())
       << "truncated window must not produce false violations; got: " << violations[0];
   EXPECT_TRUE(checker.window_truncated());
