@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include "components/trace_check.hpp"
+
 namespace sg::bench {
 
 /// Reads an integer knob from the environment (used to scale bench runs:
@@ -140,6 +142,18 @@ inline void write_json_file(const std::string& path, const std::string& body) {
   std::fputc('\n', f);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// --trace=FILE: writes Chrome trace_event JSON captured by a traced run
+/// (load via chrome://tracing or ui.perfetto.dev; docs/TRACING.md) and
+/// echoes where it went.
+inline bool write_trace_file(const std::string& path, const std::string& json) {
+  if (!components::write_chrome_file(path, json)) {
+    std::fprintf(stderr, "--trace: cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::printf("trace: Chrome trace written to %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace sg::bench

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,14 +53,7 @@ void dump_level_trace(System& sys, const std::string& level) {
   } else {
     path.insert(dot, tag);
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    std::fprintf(stderr, "--trace: cannot open %s\n", path.c_str());
-    return;
-  }
-  sg::trace::write_chrome_trace(out, sys.kernel().tracer().snapshot(),
-                                sg::components::comp_namer(sys));
-  std::printf("trace: Chrome trace written to %s\n", path.c_str());
+  sg::bench::write_trace_file(path, sg::components::capture_trace(sys).chrome_json);
 }
 
 struct LevelResult {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -31,19 +30,6 @@
 #include "swifi/swifi.hpp"
 #include "swifi/workloads.hpp"
 #include "util/stats.hpp"
-
-/// Writes Chrome trace_event JSON captured by a traced run to `path` (load
-/// via chrome://tracing or ui.perfetto.dev); see docs/TRACING.md.
-static bool write_trace_file(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    std::fprintf(stderr, "--trace: cannot open %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  std::printf("trace: Chrome trace written to %s\n", path.c_str());
-  return true;
-}
 
 static int run_stress_mode(sg::swifi::StressMode mode, const std::string& trace_file,
                            bool emit_json) {
@@ -63,11 +49,11 @@ static int run_stress_mode(sg::swifi::StressMode mode, const std::string& trace_
   const sg::swifi::StressReport report = sg::swifi::run_stress(mode, config);
   std::printf("%s", sg::swifi::format_stress_report(mode, report).c_str());
   if (!trace_file.empty()) {
-    write_trace_file(trace_file, report.trace_chrome_json);
+    sg::bench::write_trace_file(trace_file, report.trace.chrome_json);
     for (const auto& violation : report.trace_violations) {
       std::printf("trace: INVARIANT VIOLATION %s\n", violation.c_str());
     }
-    if (report.trace_truncated) {
+    if (report.trace.truncated) {
       std::printf("trace: log overflow truncated the window (invariant checks lenient)\n");
     }
   }
@@ -314,7 +300,7 @@ int main(int argc, char** argv) {
     traced_config.trace = true;
     sg::swifi::EpisodeTrace episode;
     sg::swifi::Campaign(traced_config).run_episode("lock", 0, &episode);
-    write_trace_file(trace_file, episode.chrome_json);
+    sg::bench::write_trace_file(trace_file, episode.chrome_json);
     for (const auto& violation : episode.violations) {
       std::printf("trace: INVARIANT VIOLATION %s\n", violation.c_str());
     }

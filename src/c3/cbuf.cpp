@@ -73,17 +73,6 @@ const unsigned char* CbufManager::view(CbufId id, std::size_t offset, std::size_
   return buf.bytes.data() + offset;
 }
 
-bool CbufManager::write_string(CompId writer, CbufId id, const std::string& text) {
-  return write(writer, id, 0, text.data(), text.size());
-}
-
-std::string CbufManager::read_string(CbufId id) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = buffers_.find(id);
-  SG_ASSERT_MSG(it != buffers_.end(), "read_string of unknown cbuf");
-  return std::string(it->second.bytes.begin(), it->second.bytes.end());
-}
-
 std::size_t CbufManager::size(CbufId id) const {
   std::lock_guard<std::mutex> guard(mu_);
   auto it = buffers_.find(id);

@@ -37,10 +37,6 @@ class CbufManager final : public kernel::Component {
     std::lock_guard<std::mutex> guard(mu_);
     capacity_bytes_ = capacity;
   }
-  std::size_t capacity_bytes() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return capacity_bytes_;
-  }
   std::size_t live_bytes() const {
     std::lock_guard<std::mutex> guard(mu_);
     return live_bytes_;
@@ -63,10 +59,6 @@ class CbufManager final : public kernel::Component {
   /// response is rendered once into a shared cbuf and every request serves a
   /// view of it, paying no per-request copy (docs/WEBSRV.md).
   const unsigned char* view(CbufId id, std::size_t offset, std::size_t len) const;
-
-  /// Convenience accessors for string payloads (HTTP bodies, paths).
-  bool write_string(kernel::CompId writer, CbufId id, const std::string& text);
-  std::string read_string(CbufId id) const;
 
   std::size_t size(CbufId id) const;
   bool exists(CbufId id) const {

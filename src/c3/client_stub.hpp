@@ -76,7 +76,6 @@ class ClientStub final : public Invoker {
   const DescTable& table() const { return table_; }
   const StubStats& stats() const { return stats_; }
   kernel::CompId client_id() const { return client_.id(); }
-  kernel::CompId server_id() const { return server_; }
 
   /// Name of the upcall exported on the client component for U0 recreation.
   static std::string recreate_fn_name(const std::string& service);

@@ -54,7 +54,6 @@ struct TrackedDesc {
     field_mask_ |= static_cast<std::uint8_t>(1u << f);
   }
   void add_field(FieldId f, kernel::Value v) { set_field(f, field(f) + v); }
-  std::uint8_t field_mask() const { return field_mask_; }
 
  private:
   kernel::Value fields_[kMaxFields] = {};

@@ -70,12 +70,6 @@ const InterfaceSpec* RecoveryCoordinator::find_spec_by_comp(CompId comp) const {
   return nullptr;
 }
 
-kernel::CompId RecoveryCoordinator::server_of(const std::string& service) const {
-  auto it = services_.find(service);
-  SG_ASSERT_MSG(it != services_.end(), "unknown service: " + service);
-  return it->second.server->id();
-}
-
 RecoveryCoordinator::Service* RecoveryCoordinator::find_service_by_comp(CompId comp) {
   for (auto& [name, svc] : services_) {
     if (svc.server->id() == comp) return &svc;
@@ -151,7 +145,6 @@ void RecoveryCoordinator::process_reboot(CompId comp) {
   }
   Service* svc = find_service_by_comp(comp);
   if (svc == nullptr) return;  // Not a recovery-managed component.
-  reboots_handled_.fetch_add(1, std::memory_order_relaxed);
   SG_DEBUG("recovery", "handling reboot of " << svc->spec->service);
 
   if (policy_ == RecoveryPolicy::kEager) {
@@ -216,7 +209,6 @@ void RecoveryCoordinator::process_reboot(CompId comp) {
   }
   std::exception_ptr unwind;
   for (const ThreadId thd : blocked) {
-    t0_wakeups_.fetch_add(1, std::memory_order_relaxed);
     kernel_.trace(trace::EventKind::kMechanism, comp,
                   static_cast<std::int32_t>(trace::Mechanism::kT0), 0,
                   static_cast<std::int64_t>(thd));

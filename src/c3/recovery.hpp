@@ -55,13 +55,9 @@ class RecoveryCoordinator {
 
   const InterfaceSpec& spec(const std::string& service) const;
   const InterfaceSpec* find_spec_by_comp(kernel::CompId comp) const;
-  kernel::CompId server_of(const std::string& service) const;
 
   void set_policy(RecoveryPolicy policy) { policy_ = policy; }
   RecoveryPolicy policy() const { return policy_; }
-
-  int reboots_handled() const { return reboots_handled_.load(std::memory_order_relaxed); }
-  int t0_wakeups() const { return t0_wakeups_.load(std::memory_order_relaxed); }
 
   /// Storage-component reboots handled by re-materializing G0 from the
   /// client stubs' tracked state (G1 repopulates lazily at its publishers).
@@ -140,8 +136,6 @@ class RecoveryCoordinator {
   /// Atomics: counters are bumped from whichever core runs a recovery while
   /// readers poll from the campaign driver; degraded flags additionally fire
   /// from eviction hooks.
-  std::atomic<int> reboots_handled_{0};
-  std::atomic<int> t0_wakeups_{0};
   std::atomic<int> reentrant_reboots_{0};
   std::atomic<int> replay_restarts_{0};
   std::atomic<int> storage_rebuilds_{0};

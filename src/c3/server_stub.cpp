@@ -52,16 +52,11 @@ ServerStub::ServerStub(kernel::Kernel& kernel, kernel::Component& server,
         if (!up.fault && up.ret == kernel::kOk) recreated = true;
       }
       if (!recreated) {
-        ++g0_misses_;
-        if (record_found) {
-          // The substrate knew the creator yet the upcall could not rebuild
-          // the descriptor: recovery proceeds, but degraded.
-          ++degraded_misses_;
-          if (degraded_hook_) degraded_hook_(spec_.service.c_str());
-        }
+        // The substrate knew the creator yet the upcall could not rebuild
+        // the descriptor: recovery proceeds, but degraded.
+        if (record_found && degraded_hook_) degraded_hook_(spec_.service.c_str());
         return ret;  // Genuinely invalid descriptor (or degraded miss).
       }
-      ++g0_recoveries_;
       kernel_.trace(trace::EventKind::kMechanism, server_.id(),
                     static_cast<std::int32_t>(trace::Mechanism::kG0));
       return inner(ctx, args);  // Replay with the descriptor(s) rebuilt.

@@ -26,10 +26,6 @@ class ServerStub {
   ServerStub(const ServerStub&) = delete;
   ServerStub& operator=(const ServerStub&) = delete;
 
-  std::uint64_t g0_recoveries() const { return g0_recoveries_; }
-  std::uint64_t g0_misses() const { return g0_misses_; }
-  std::uint64_t degraded_misses() const { return degraded_misses_; }
-
   /// Fires when a G0 record *was found* but the recreation upcall failed —
   /// the substrate had the answer yet recovery still could not use it. This
   /// (unlike a plain miss, which legitimately means "descriptor never
@@ -43,9 +39,6 @@ class ServerStub {
   const InterfaceSpec& spec_;
   StorageComponent& storage_;
   NsId ns_ = kNoNs;  ///< Interned storage namespace for the service.
-  std::uint64_t g0_recoveries_ = 0;
-  std::uint64_t g0_misses_ = 0;
-  std::uint64_t degraded_misses_ = 0;
   DegradedHook degraded_hook_;
 };
 

@@ -202,7 +202,7 @@ void StorageComponent::maybe_fault() {
   // campaign driver for whole-machine classification, as everywhere else.
 }
 
-// --- G0, id-based -------------------------------------------------------------
+// --- G0: global descriptor registry ------------------------------------------
 
 void StorageComponent::record_desc(NsId ns, Value desc_id, DescRecord record) {
   maybe_fault();
@@ -250,26 +250,7 @@ std::size_t StorageComponent::desc_count(NsId ns) const {
   return sp == nullptr ? 0 : sp->descs.size();
 }
 
-// --- G0, string shim ----------------------------------------------------------
-
-void StorageComponent::record_desc(const std::string& ns, Value desc_id, DescRecord record) {
-  record_desc(intern_ns(ns), desc_id, std::move(record));
-}
-
-void StorageComponent::erase_desc(const std::string& ns, Value desc_id) {
-  erase_desc(find_ns(ns), desc_id);
-}
-
-std::optional<StorageComponent::DescRecord> StorageComponent::lookup_desc(const std::string& ns,
-                                                                          Value desc_id) {
-  return lookup_desc(find_ns(ns), desc_id);
-}
-
-std::size_t StorageComponent::desc_count(const std::string& ns) const {
-  return desc_count(find_ns(ns));
-}
-
-// --- G1, id-based -------------------------------------------------------------
+// --- G1: resource data slices -----------------------------------------------
 
 void StorageComponent::store_data(NsId ns, Value id, DataSlice slice) {
   maybe_fault();
@@ -317,25 +298,6 @@ std::size_t StorageComponent::data_count(NsId ns) const {
   std::lock_guard<std::mutex> guard(mu_);
   const Namespace* sp = space(ns);
   return sp == nullptr ? 0 : sp->data.size();
-}
-
-// --- G1, string shim ----------------------------------------------------------
-
-void StorageComponent::store_data(const std::string& ns, Value id, DataSlice slice) {
-  store_data(intern_ns(ns), id, slice);
-}
-
-std::optional<StorageComponent::DataSlice> StorageComponent::fetch_data(const std::string& ns,
-                                                                        Value id) {
-  return fetch_data(find_ns(ns), id);
-}
-
-void StorageComponent::erase_data(const std::string& ns, Value id) {
-  erase_data(find_ns(ns), id);
-}
-
-std::size_t StorageComponent::data_count(const std::string& ns) const {
-  return data_count(find_ns(ns));
 }
 
 Value StorageComponent::hash_id(const std::string& path) {

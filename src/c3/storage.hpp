@@ -28,11 +28,10 @@ namespace sg::c3 {
 ///   *data is a cbuf reference, redundantly storing resource payloads (e.g.,
 ///   RamFS file contents) that a state-machine walk alone cannot rebuild.
 ///
-/// Namespaces are interned: stubs resolve their service's NsId once and use
-/// the id-based overloads on every recovery-path access; the string
-/// overloads remain as a convenience shim for tests and tooling. Interning
-/// survives reset_state — ids handed out before a (simulated) storage fault
-/// stay valid.
+/// Namespaces are interned: stubs and components resolve their service's
+/// NsId once (intern_ns) and pass it on every access. Interning survives
+/// reset_state — ids handed out before a (simulated) storage fault stay
+/// valid.
 ///
 /// Unlike the cbuf manager, the storage component is *not* trusted: it is a
 /// fault-injection target and the recovery substrate must survive faults in
@@ -60,10 +59,9 @@ class StorageComponent final : public kernel::Component {
   // --- G0: global descriptor registry --------------------------------------
   struct DescRecord {
     kernel::CompId creator;
-    kernel::Value parent_desc;  ///< kNoDesc (-1) when none.
+    kernel::Value parent_desc;  ///< kNoParent (0) when none.
     std::map<std::string, kernel::Value> meta;
   };
-  static constexpr kernel::Value kNoDesc = -1;
 
   void record_desc(NsId ns, kernel::Value desc_id, DescRecord record);
   void erase_desc(NsId ns, kernel::Value desc_id);
@@ -71,11 +69,6 @@ class StorageComponent final : public kernel::Component {
   /// reported as a miss (the G0 path then degrades to the U0/R0 fallback).
   std::optional<DescRecord> lookup_desc(NsId ns, kernel::Value desc_id);
   std::size_t desc_count(NsId ns) const;
-
-  void record_desc(const std::string& ns, kernel::Value desc_id, DescRecord record);
-  void erase_desc(const std::string& ns, kernel::Value desc_id);
-  std::optional<DescRecord> lookup_desc(const std::string& ns, kernel::Value desc_id);
-  std::size_t desc_count(const std::string& ns) const;
 
   // --- G1: resource data slices ---------------------------------------------
   struct DataSlice {
@@ -91,11 +84,6 @@ class StorageComponent final : public kernel::Component {
   std::optional<DataSlice> fetch_data(NsId ns, kernel::Value id);
   void erase_data(NsId ns, kernel::Value id);
   std::size_t data_count(NsId ns) const;
-
-  void store_data(const std::string& ns, kernel::Value id, DataSlice slice);
-  std::optional<DataSlice> fetch_data(const std::string& ns, kernel::Value id);
-  void erase_data(const std::string& ns, kernel::Value id);
-  std::size_t data_count(const std::string& ns) const;
 
   /// Stable id for path-named resources (paper: "a hash on its path").
   static kernel::Value hash_id(const std::string& path);

@@ -35,11 +35,7 @@ struct FaultEvent {
 };
 
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9e3779b97f4a7c15ULL);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return splitmix64(a ^ (b * kSplitMixGamma));
 }
 
 std::string fixed6(double value) {

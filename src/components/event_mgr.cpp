@@ -17,6 +17,7 @@ EventMgrComponent::EventMgrComponent(kernel::Kernel& kernel, kernel::CompId sche
     : Component(kernel, "evt", /*image_bytes=*/24 * 1024),
       sched_(sched),
       storage_(storage),
+      ns_(storage.intern_ns("evt")),
       profile_(profile),
       rng_(seed) {
   export_fn("evt_split", [this](CallCtx& ctx, const Args& a) { return split(ctx, a); });
@@ -29,9 +30,8 @@ void EventMgrComponent::resync_storage() {
   const int storage_epoch = kernel_.fault_epoch(storage_.id());
   if (storage_epoch == storage_epoch_) return;
   storage_epoch_ = storage_epoch;
-  ++storage_resyncs_;
   for (const auto& [evtid, event] : events_) {
-    storage_.store_data("evt", evtid, {0, event.pending, 0});
+    storage_.store_data(ns_, evtid, {0, event.pending, 0});
   }
 }
 
@@ -57,10 +57,10 @@ Value EventMgrComponent::split(CallCtx& ctx, const Args& args) {
   event.grp = args[2];
   // G1: pending trigger counts are resource data; restore them so triggers
   // delivered before a fault are not lost.
-  if (const auto slice = storage_.fetch_data("evt", evtid)) {
+  if (const auto slice = storage_.fetch_data(ns_, evtid)) {
     event.pending = slice->length;
   } else {
-    storage_.store_data("evt", evtid, {0, 0, 0});
+    storage_.store_data(ns_, evtid, {0, 0, 0});
   }
   return evtid;
 }
@@ -79,7 +79,7 @@ Value EventMgrComponent::wait(CallCtx& ctx, const Args& args) {
       const Value delivered = event.pending;
       event.pending = 0;
       event.waiter = kernel::kNoThread;
-      storage_.store_data("evt", evtid, {0, 0, 0});  // G1 critical region.
+      storage_.store_data(ns_, evtid, {0, 0, 0});  // G1 critical region.
       return delivered;
     }
     event.waiter = ctx.thd;
@@ -96,7 +96,7 @@ Value EventMgrComponent::trigger(CallCtx& ctx, const Args& args) {
   Event& event = it->second;
   ++event.pending;
   // G1 critical region: record the pending count before anyone can observe it.
-  storage_.store_data("evt", args[1], {0, event.pending, 0});
+  storage_.store_data(ns_, args[1], {0, event.pending, 0});
   if (event.waiter != kernel::kNoThread) {
     const kernel::ThreadId waiter = event.waiter;
     event.waiter = kernel::kNoThread;
@@ -115,7 +115,7 @@ Value EventMgrComponent::free_fn(CallCtx& ctx, const Args& args) {
   // half-freed event it would re-block on.
   const kernel::ThreadId waiter = it->second.waiter;
   events_.erase(it);
-  storage_.erase_data("evt", args[1]);
+  storage_.erase_data(ns_, args[1]);
   if (waiter != kernel::kNoThread) {
     sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {waiter});
   }

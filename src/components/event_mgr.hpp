@@ -33,8 +33,6 @@ class EventMgrComponent final : public kernel::Component {
   std::size_t event_count() const { return events_.size(); }
   bool event_exists(kernel::Value evtid) const { return events_.count(evtid) != 0; }
   kernel::Value pending_of(kernel::Value evtid) const;
-  /// G1 records re-stored because the storage component rebooted under us.
-  std::uint64_t storage_resyncs() const { return storage_resyncs_; }
 
  private:
   struct Event {
@@ -57,9 +55,9 @@ class EventMgrComponent final : public kernel::Component {
   std::map<kernel::Value, Event> events_;
   kernel::Value next_id_ = 1;
   int storage_epoch_ = 0;  ///< Storage fault epoch last synced to.
-  std::uint64_t storage_resyncs_ = 0;
   kernel::CompId sched_;
   c3::StorageComponent& storage_;
+  c3::NsId ns_ = c3::kNoNs;  ///< The "evt" storage namespace, interned once.
   kernel::FaultProfile profile_;
   Rng rng_;
 };

@@ -115,11 +115,6 @@ kernel::ThreadId LockComponent::owner_of(Value lockid) const {
   return it == locks_.end() ? kernel::kNoThread : it->second.owner;
 }
 
-std::size_t LockComponent::waiters_on(Value lockid) const {
-  auto it = locks_.find(lockid);
-  return it == locks_.end() ? 0 : it->second.waiters.size();
-}
-
 void LockComponent::reset_state() {
   locks_.clear();
   // next_id_ deliberately survives the micro-reboot: recycling ids would let

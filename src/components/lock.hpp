@@ -30,7 +30,6 @@ class LockComponent final : public kernel::Component {
 
   std::size_t lock_count() const { return locks_.size(); }
   kernel::ThreadId owner_of(kernel::Value lockid) const;
-  std::size_t waiters_on(kernel::Value lockid) const;
 
  private:
   struct Lock {

@@ -39,7 +39,6 @@ class MemMgrComponent final : public kernel::Component {
 
   std::size_t mapping_count() const { return mappings_.size(); }
   std::size_t frames_in_use() const;
-  bool mapping_exists(kernel::Value mapid) const { return mappings_.count(mapid) != 0; }
   /// Frame backing a mapping, or -1.
   kernel::Value frame_of(kernel::Value mapid) const;
   /// Checks the alias-tree invariants (parent links, refcounts); throws

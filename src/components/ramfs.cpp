@@ -17,6 +17,7 @@ RamFsComponent::RamFsComponent(kernel::Kernel& kernel, c3::CbufManager& cbufs,
     : Component(kernel, "ramfs", /*image_bytes=*/48 * 1024),
       cbufs_(cbufs),
       storage_(storage),
+      ns_(storage.intern_ns("ramfs")),
       profile_(profile),
       rng_(seed) {
   export_fn("tsplit", [this](CallCtx& ctx, const Args& a) { return tsplit(ctx, a); });
@@ -31,7 +32,7 @@ void RamFsComponent::apply_pending_sync() {
   if (pending_sync_ < 0) return;
   auto it = files_.find(pending_sync_);
   if (it != files_.end()) {
-    storage_.store_data("ramfs", pending_sync_, {0, it->second.size, it->second.data});
+    storage_.store_data(ns_, pending_sync_, {0, it->second.size, it->second.data});
   }
   pending_sync_ = -1;
 }
@@ -47,7 +48,7 @@ void RamFsComponent::resync_storage() {
   storage_epoch_ = epoch;
   ++storage_resyncs_;
   for (const auto& [pathid, file] : files_) {
-    storage_.store_data("ramfs", pathid, {0, file.size, file.data});
+    storage_.store_data(ns_, pathid, {0, file.size, file.data});
   }
 }
 
@@ -56,7 +57,7 @@ RamFsComponent::File* RamFsComponent::find_file(Value pathid) {
   if (it != files_.end()) return &it->second;
   // G1: our map may have been wiped by a micro-reboot — the storage
   // component redundantly holds ⟨id, offset, length, *data⟩.
-  const auto slice = storage_.fetch_data("ramfs", pathid);
+  const auto slice = storage_.fetch_data(ns_, pathid);
   if (!slice.has_value()) return nullptr;
   File& file = files_[pathid];
   file.data = slice->data;
@@ -70,7 +71,7 @@ RamFsComponent::File& RamFsComponent::create_file(Value pathid) {
   file.size = 0;
   // Register the (empty) file with storage inside the same critical region
   // that created it, so a crash between the two structures cannot lose it.
-  storage_.store_data("ramfs", pathid, {0, file.size, file.data});
+  storage_.store_data(ns_, pathid, {0, file.size, file.data});
   return file;
 }
 
@@ -157,7 +158,7 @@ Value RamFsComponent::twrite(CallCtx& ctx, const Args& args) {
   } else {
     // G1 critical region: update the redundant storage record *before*
     // returning, so no other thread can observe data that a crash would lose.
-    storage_.store_data("ramfs", ofd.pathid, {0, file->size, file->data});
+    storage_.store_data(ns_, ofd.pathid, {0, file->size, file->data});
   }
   return static_cast<Value>(n);
 }
@@ -180,18 +181,11 @@ Value RamFsComponent::trelease(CallCtx& ctx, const Args& args) {
   return fds_.erase(args[1]) != 0 ? kernel::kOk : kernel::kErrInval;
 }
 
-Value RamFsComponent::file_size(Value pathid) const {
-  auto it = files_.find(pathid);
-  if (it != files_.end()) return it->second.size;
-  const auto slice = storage_.fetch_data("ramfs", pathid);
-  return slice.has_value() ? slice->length : -1;
-}
-
 std::string RamFsComponent::file_contents(Value pathid) const {
   auto resolve = [this, pathid]() -> File {
     auto it = files_.find(pathid);
     if (it != files_.end()) return it->second;
-    const auto slice = storage_.fetch_data("ramfs", pathid);
+    const auto slice = storage_.fetch_data(ns_, pathid);
     SG_ASSERT_MSG(slice.has_value(), "file_contents: no such file");
     return File{slice->data, slice->length};
   };

@@ -43,7 +43,6 @@ class RamFsComponent final : public kernel::Component {
   void set_unsafe_deferred_sync(bool unsafe) { unsafe_deferred_sync_ = unsafe; }
 
   std::size_t open_files() const { return fds_.size(); }
-  std::size_t file_count() const { return files_.size(); }
 
   /// Fires when an open fd's file is gone from both our map and storage (the
   /// substrate lost the G1 copy): the caller gets kErrNoEnt instead of data —
@@ -52,8 +51,6 @@ class RamFsComponent final : public kernel::Component {
   void set_degraded_hook(std::function<void()> hook) { degraded_hook_ = std::move(hook); }
   /// G1 records re-stored because the storage component rebooted under us.
   std::uint64_t storage_resyncs() const { return storage_resyncs_; }
-  bool file_exists(kernel::Value pathid) const { return files_.count(pathid) != 0; }
-  kernel::Value file_size(kernel::Value pathid) const;
 
   /// Reads a whole file's contents (test/diagnostic helper, not interface).
   std::string file_contents(kernel::Value pathid) const;
@@ -98,6 +95,7 @@ class RamFsComponent final : public kernel::Component {
   kernel::Value next_fd_ = 1;
   c3::CbufManager& cbufs_;
   c3::StorageComponent& storage_;
+  c3::NsId ns_ = c3::kNoNs;  ///< The "ramfs" storage namespace, interned once.
   kernel::FaultProfile profile_;
   Rng rng_;
 

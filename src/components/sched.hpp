@@ -34,7 +34,6 @@ class SchedComponent final : public kernel::Component {
   void reset_state() override;
   void on_reboot(kernel::CallCtx& ctx) override;
 
-  std::size_t tracked_threads() const { return records_.size(); }
   bool knows_thread(kernel::ThreadId tid) const { return records_.count(tid) != 0; }
 
  private:

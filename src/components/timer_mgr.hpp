@@ -27,9 +27,6 @@ class TimerMgrComponent final : public kernel::Component {
 
   void reset_state() override;
 
-  std::size_t timer_count() const { return timers_.size(); }
-  bool timer_exists(kernel::Value tmid) const { return timers_.count(tmid) != 0; }
-
  private:
   struct Timer {
     kernel::Value period_us = 0;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 
 namespace sg::components {
 
@@ -39,23 +40,34 @@ std::vector<std::string> check_recovery_invariants(System& sys) {
   return checker.check(sys.kernel().tracer());
 }
 
-std::string dump_chrome_trace(System& sys, const std::string& stem,
-                              const std::string& path_override) {
+TraceCapture capture_trace(System& sys) {
+  const trace::Tracer::Snapshot snap = sys.kernel().tracer().snapshot();
+  const trace::NameFn names = comp_namer(sys);
+  TraceCapture capture;
+  capture.normalized = trace::format_normalized(snap.events, names);
+  std::ostringstream json;
+  trace::write_chrome_trace(json, snap, names);
+  capture.chrome_json = json.str();
+  capture.truncated = snap.truncated();
+  return capture;
+}
+
+bool write_chrome_file(const std::string& path, const std::string& json) {
   namespace fs = std::filesystem;
-  fs::path target;
-  if (!path_override.empty()) {
-    target = path_override;
-  } else {
-    const char* dir = std::getenv("SG_TRACE_DUMP");
-    if (dir == nullptr || dir[0] == '\0') return "";
-    target = fs::path(dir) / (stem + ".json");
-  }
+  const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  std::ofstream out(target);
-  if (!out) return "";
-  trace::write_chrome_trace(out, sys.kernel().tracer().snapshot(), comp_namer(sys));
-  return target.string();
+  std::ofstream out(target, std::ios::binary);
+  if (!out) return false;
+  out << json;
+  return true;
+}
+
+std::string dump_chrome_trace(System& sys, const std::string& stem) {
+  const char* dir = std::getenv("SG_TRACE_DUMP");
+  if (dir == nullptr || dir[0] == '\0') return "";
+  const std::string path = (std::filesystem::path(dir) / (stem + ".json")).string();
+  return write_chrome_file(path, capture_trace(sys).chrome_json) ? path : "";
 }
 
 }  // namespace sg::components

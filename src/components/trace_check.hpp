@@ -26,11 +26,23 @@ trace::CheckerHooks checker_hooks(System& sys);
 /// truncation-lenient mode.
 std::vector<std::string> check_recovery_invariants(System& sys);
 
+/// One capture of the events the System's tracer keeps, in the two forms
+/// the repo renders: the normalized text (determinism tests, explorer
+/// repros) and Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev).
+struct TraceCapture {
+  std::string normalized;   ///< format_normalized of the kept events.
+  std::string chrome_json;  ///< Chrome trace_event export.
+  bool truncated = false;   ///< Log overflow dropped the oldest events.
+};
+TraceCapture capture_trace(System& sys);
+
+/// Writes Chrome trace_event JSON text to `path`, creating its parent
+/// directory if missing. Returns false if the file cannot be opened.
+bool write_chrome_file(const std::string& path, const std::string& json);
+
 /// Writes the System's trace as Chrome trace_event JSON into the directory
-/// named by SG_TRACE_DUMP (created if missing) as `<stem>.json`, or to
-/// `<stem>` verbatim if it names a .json path. Returns the path written, or
-/// "" if SG_TRACE_DUMP is unset/empty and `path_override` is empty.
-std::string dump_chrome_trace(System& sys, const std::string& stem,
-                              const std::string& path_override = "");
+/// named by SG_TRACE_DUMP as `<stem>.json`. Returns the path written, or ""
+/// if SG_TRACE_DUMP is unset/empty or the file cannot be written.
+std::string dump_chrome_trace(System& sys, const std::string& stem);
 
 }  // namespace sg::components

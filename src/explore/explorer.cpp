@@ -308,11 +308,7 @@ Execution Explorer::run_one(const Schedule& schedule) const {
     out.failed = true;
     out.reason = "workload did not complete (lost wakeup?)";
   }
-  trace::Tracer::Snapshot snap;
-  if (opts_.capture_trace) {
-    snap = kern.tracer().snapshot();
-    out.trace = trace::format_normalized(snap.events, components::comp_namer(sys));
-  }
+  if (opts_.capture_trace) out.trace = components::capture_trace(sys).normalized;
   // A crash stops the log mid-recovery; the invariants only promise anything
   // about runs the machine survived.
   if (out.crashed) return out;
@@ -324,10 +320,7 @@ Execution Explorer::run_one(const Schedule& schedule) const {
   // Failing executions are leaves (never extended), so the commutation
   // metadata, which indexes the events, is only derived for runs the
   // enumerator will grow from.
-  if (!out.failed) {
-    if (!opts_.capture_trace) snap = kern.tracer().snapshot();
-    derive_footprints(out, snap, opts_);
-  }
+  if (!out.failed) derive_footprints(out, kern.tracer().snapshot(), opts_);
   return out;
 }
 

@@ -26,25 +26,17 @@ namespace sg::kernel {
 /// campaign worker threads may sample a foreign kernel's clock safely.
 ///
 /// Mutation discipline: advance()/advance_to() are called with the kernel lock
-/// held (invocation ticks, yield ticks, idle jumps). The bookkeeping counters
-/// are nevertheless relaxed atomics: with cores>1 the bench and test harness
-/// read them (and tick the clock from foreign root contexts, e.g. the cmon
-/// pause regression) concurrently with kernel mutation, and a plain uint64
-/// there would be a data race. Relaxed ordering suffices — each counter is an
-/// independent monotonic tally with no cross-counter consistency promise, and
-/// 64-bit width makes wraparound unreachable (2^64 events). Readers may see a
-/// count that is momentarily behind a just-published time_, which is fine for
-/// the campaign speedup reports these feed (docs/CAMPAIGNS.md).
+/// held (invocation ticks, yield ticks, idle jumps). The jump counter is a
+/// relaxed atomic like time_, so it can be read without that lock. Relaxed
+/// ordering suffices — it is a monotonic tally with no consistency promise
+/// against time_, and 64-bit width makes wraparound unreachable.
 class VirtualClock {
  public:
   /// Current virtual time (microseconds since boot). Lock-free.
   VirtualTime now() const { return time_.load(std::memory_order_relaxed); }
 
   /// Charges `dur` of virtual time (an invocation/yield tick).
-  void advance(VirtualTime dur) {
-    time_.fetch_add(dur, std::memory_order_relaxed);
-    advances_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void advance(VirtualTime dur) { time_.fetch_add(dur, std::memory_order_relaxed); }
 
   /// Event-driven jump: moves time forward to `deadline` (never backward).
   /// This is the discrete-event step — taken when every thread is blocked and
@@ -61,24 +53,15 @@ class VirtualClock {
       }
     }
     jumps_.fetch_add(1, std::memory_order_relaxed);
-    idle_skipped_.fetch_add(deadline - cur, std::memory_order_relaxed);
     return deadline - cur;
   }
 
-  // --- bookkeeping (campaign speedup reports, docs/CAMPAIGNS.md) -------------
-  /// Tick-advance events charged so far.
-  std::uint64_t advances() const { return advances_.load(std::memory_order_relaxed); }
   /// Idle fast-forward jumps taken (all-blocked -> next deadline).
   std::uint64_t jumps() const { return jumps_.load(std::memory_order_relaxed); }
-  /// Total virtual time covered by jumps alone — the time a wall-clock
-  /// simulation would have burned sleeping.
-  VirtualTime idle_skipped() const { return idle_skipped_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<VirtualTime> time_{0};
-  std::atomic<std::uint64_t> advances_{0};
   std::atomic<std::uint64_t> jumps_{0};
-  std::atomic<VirtualTime> idle_skipped_{0};
 };
 
 }  // namespace sg::kernel

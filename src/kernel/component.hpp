@@ -61,7 +61,6 @@ class Component {
   Handler replace_fn(const std::string& fn_name, Handler handler);
 
   bool exports(const std::string& fn_name) const { return handlers_.count(fn_name) != 0; }
-  std::vector<std::string> exported_fns() const;
 
   /// Dispatches an exported function. Called only by the kernel.
   Value dispatch(CallCtx& ctx, const std::string& fn_name, const Args& args);

@@ -72,14 +72,6 @@ Component::Handler Component::replace_fn(const std::string& fn_name, Handler han
   return old;
 }
 
-std::vector<std::string> Component::exported_fns() const {
-  std::vector<std::string> names;
-  names.reserve(handlers_.size());
-  for (const auto& [name, handler] : handlers_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 Value Component::dispatch(CallCtx& ctx, const std::string& fn_name, const Args& args) {
   auto it = handlers_.find(fn_name);
   SG_ASSERT_MSG(it != handlers_.end(), name_ + " does not export " + fn_name);
@@ -103,64 +95,62 @@ Kernel::Kernel() = default;
 
 Kernel::~Kernel() = default;
 
+Kernel::CompSlot& Kernel::slot_locked(CompId id) {
+  SG_ASSERT_MSG(id >= 1 && static_cast<std::size_t>(id) <= comps_.size(),
+                "unknown component id " + std::to_string(id));
+  return comps_[static_cast<std::size_t>(id) - 1];
+}
+
+const Kernel::CompSlot* Kernel::find_slot_locked(CompId id) const {
+  if (id < 1 || static_cast<std::size_t>(id) > comps_.size()) return nullptr;
+  return &comps_[static_cast<std::size_t>(id) - 1];
+}
+
 CompId Kernel::register_component(Component* comp) {
   std::lock_guard<std::mutex> lock(mtx_);
-  const CompId id = next_comp_id_++;
-  components_[id] = comp;
-  fault_epochs_[id] = 0;
-  return id;
+  comps_.push_back(CompSlot{});
+  comps_.back().comp = comp;
+  return static_cast<CompId>(comps_.size());
 }
 
 void Kernel::unregister_component(CompId id) {
   std::lock_guard<std::mutex> lock(mtx_);
-  components_.erase(id);
+  slot_locked(id).comp = nullptr;
 }
 
 Component& Kernel::component(CompId id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = components_.find(id);
-  SG_ASSERT_MSG(it != components_.end(), "unknown component id " + std::to_string(id));
-  return *it->second;
-}
-
-Component* Kernel::find_component(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mtx_);
-  // Lowest-id match: the map is unordered, and schedule replay (src/explore)
-  // needs every lookup to resolve identically across runs.
-  Component* found = nullptr;
-  for (const auto& [id, comp] : components_) {
-    if (comp->name() == name && (found == nullptr || id < found->id())) found = comp;
-  }
-  return found;
+  const CompSlot* s = find_slot_locked(id);
+  SG_ASSERT_MSG(s != nullptr && s->comp != nullptr, "unknown component id " + std::to_string(id));
+  return *s->comp;
 }
 
 std::vector<CompId> Kernel::component_ids() const {
   std::lock_guard<std::mutex> lock(mtx_);
   std::vector<CompId> ids;
-  ids.reserve(components_.size());
-  for (const auto& [id, comp] : components_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < comps_.size(); ++i) {
+    if (comps_[i].comp != nullptr) ids.push_back(static_cast<CompId>(i + 1));
+  }
   return ids;
 }
 
 int Kernel::fault_epoch(CompId id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = fault_epochs_.find(id);
-  return it == fault_epochs_.end() ? 0 : it->second;
+  const CompSlot* s = find_slot_locked(id);
+  return s == nullptr ? 0 : s->epoch;
 }
 
 void Kernel::grant_cap(CompId client, CompId server) {
   std::lock_guard<std::mutex> lock(mtx_);
-  caps_.insert((static_cast<std::uint64_t>(static_cast<std::uint32_t>(client)) << 32) |
-               static_cast<std::uint32_t>(server));
+  slot_locked(client).caps.push_back(server);
 }
 
 bool Kernel::cap_ok(CompId client, CompId server) const {
   if (default_allow_) return true;
   if (client == kNoComp) return true;  // Root/boot context is trusted.
   std::lock_guard<std::mutex> lock(mtx_);
-  return caps_.count((static_cast<std::uint64_t>(static_cast<std::uint32_t>(client)) << 32) |
-                     static_cast<std::uint32_t>(server)) != 0;
+  const CompSlot* s = find_slot_locked(client);
+  return s != nullptr && std::find(s->caps.begin(), s->caps.end(), server) != s->caps.end();
 }
 
 // ---------------------------------------------------------------------------
@@ -255,16 +245,15 @@ bool Kernel::occ_free_locked(CompId comp, ThreadId me) const {
   // recovery context with authority over it (its domain's owner, or the
   // machine holder) may enter to quiesce and restore it; everyone else
   // queues and re-fences on the bumped epoch once it reopens.
-  if (fault_pending_.count(comp) != 0 && !recovery_authority_locked(comp, me)) {
-    return false;
-  }
-  auto it = occupants_.find(comp);
-  return it == occupants_.end() || it->second.owner == me;
+  const CompSlot* s = find_slot_locked(comp);
+  if (s == nullptr) return true;
+  if (s->fault_pending && !recovery_authority_locked(comp, me)) return false;
+  return s->occupant.owner == kNoThread || s->occupant.owner == me;
 }
 
 void Kernel::occ_acquire_locked(CompId comp, ThreadId me) {
   if (ncores_ == 1 || shutdown_ || comp == kNoComp) return;
-  Occupant& occ = occupants_[comp];
+  Occupant& occ = slot_locked(comp).occupant;
   SG_ASSERT_MSG(occ.owner == kNoThread || occ.owner == me,
                 "occupancy acquire of comp " + std::to_string(comp) + " held by " +
                     std::to_string(occ.owner));
@@ -274,12 +263,12 @@ void Kernel::occ_acquire_locked(CompId comp, ThreadId me) {
 
 void Kernel::occ_release_locked(CompId comp, ThreadId me) {
   if (ncores_ == 1 || comp == kNoComp) return;
-  auto it = occupants_.find(comp);
+  Occupant& occ = slot_locked(comp).occupant;
   // Tolerant of shutdown teardown: unwinding threads may release slots the
   // no-op'd acquire path never took.
-  if (it == occupants_.end() || it->second.owner != me) return;
-  if (--it->second.depth > 0) return;
-  occupants_.erase(it);
+  if (occ.owner != me) return;
+  if (--occ.depth > 0) return;
+  occ = Occupant{};
   // Ready any thread blocked waiting to occupy this component; the dispatch
   // gate re-verifies before running them.
   for (const auto& tp : threads_) {
@@ -289,7 +278,9 @@ void Kernel::occ_release_locked(CompId comp, ThreadId me) {
 }
 
 void Kernel::clear_fault_pending_locked(CompId comp) {
-  if (fault_pending_.erase(comp) == 0) return;
+  bool& pending = slot_locked(comp).fault_pending;
+  if (!pending) return;
+  pending = false;
   for (const auto& tp : threads_) {
     if (tp->state == ThreadState::kBlocked && tp->occ_wait == comp) make_ready_locked(*tp);
   }
@@ -420,8 +411,10 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
                (tp->occ_wait != kNoComp ? ", occ-wait " + std::to_string(tp->occ_wait) : "") +
                (tp->token_wait ? ", token-wait" : "") + ")";
     }
-    for (const auto& [oc, occ] : occupants_) {
-      stuck += "; occ[" + std::to_string(oc) + "] held by " +
+    for (std::size_t i = 0; i < comps_.size(); ++i) {
+      const Occupant& occ = comps_[i].occupant;
+      if (occ.owner == kNoThread) continue;
+      stuck += "; occ[" + std::to_string(i + 1) + "] held by " +
                (occ.owner == kRootOwner ? std::string("root") : thd(occ.owner).name) +
                " depth " + std::to_string(occ.depth);
     }
@@ -476,8 +469,8 @@ ThreadId Kernel::recovery_caller_id() const {
 bool Kernel::recovery_authority_locked(CompId comp, ThreadId me) const {
   auto it = active_recoveries_.find(me);
   if (it == active_recoveries_.end()) return false;
-  auto own = domain_owner_.find(comp);
-  if (own != domain_owner_.end()) return own->second == me;
+  const CompSlot* s = find_slot_locked(comp);
+  if (s != nullptr && s->domain_owner != kNoThread) return s->domain_owner == me;
   // The machine holder has authority over every comp not claimed by a parked
   // escalator (whose closed comps stay closed until it resumes).
   return it->second.machine;
@@ -564,7 +557,7 @@ void Kernel::acquire_recovery_domain(CompId faulted, bool record_fault) {
   auto record = [&] {
     if (!record_fault) return;
     record_fault = false;
-    if (!shutdown_) fault_pending_.insert(faulted);
+    if (!shutdown_) slot_locked(faulted).fault_pending = true;
     trace(trace::EventKind::kFault, faulted);
   };
   auto it = active_recoveries_.find(me);
@@ -574,8 +567,7 @@ void Kernel::acquire_recovery_domain(CompId faulted, bool record_fault) {
     if (!covered) {
       covered = true;
       for (const CompId c : closure) {
-        auto own = domain_owner_.find(c);
-        if (own == domain_owner_.end() || own->second != me) {
+        if (slot_locked(c).domain_owner != me) {
           covered = false;
           break;
         }
@@ -593,7 +585,7 @@ void Kernel::acquire_recovery_domain(CompId faulted, bool record_fault) {
   for (;;) {
     bool overlap = false;
     for (const CompId c : closure) {
-      if (domain_owner_.count(c) != 0) {
+      if (slot_locked(c).domain_owner != kNoThread) {
         overlap = true;
         break;
       }
@@ -629,7 +621,7 @@ void Kernel::acquire_recovery_domain(CompId faulted, bool record_fault) {
         machine_owner_ = me;
       } else {
         rec.comps = closure;
-        for (const CompId c : closure) domain_owner_[c] = me;
+        for (const CompId c : closure) slot_locked(c).domain_owner = me;
       }
       const std::uint64_t seq = rec.seq;
       const auto closure_size = escalated ? 0 : static_cast<std::int32_t>(closure.size());
@@ -677,8 +669,8 @@ void Kernel::release_recovery_domain() {
         static_cast<std::int32_t>(active_recoveries_.size()) - 1, me,
         static_cast<std::int64_t>(rec.seq));
   for (const CompId c : rec.comps) {
-    auto own = domain_owner_.find(c);
-    if (own != domain_owner_.end() && own->second == me) domain_owner_.erase(own);
+    ThreadId& owner = slot_locked(c).domain_owner;
+    if (owner == me) owner = kNoThread;
   }
   if (rec.machine && machine_owner_ == me) {
     machine_held_ = false;
@@ -907,8 +899,10 @@ void Kernel::run() {
   lock.lock();
   // Crash teardown can leave occupancy / domain remnants; reset so reflection
   // after run() (tests, campaign classification) sees a quiesced machine.
-  occupants_.clear();
-  domain_owner_.clear();
+  for (CompSlot& s : comps_) {
+    s.occupant = Occupant{};
+    s.domain_owner = kNoThread;
+  }
   active_recoveries_.clear();
   machine_held_ = false;
   machine_owner_ = kNoThread;
@@ -973,23 +967,12 @@ RegisterFile& Kernel::thread_registers(ThreadId id) {
   return thd(id).regs;
 }
 
-const std::string& Kernel::thread_name(ThreadId id) const {
-  std::lock_guard<std::mutex> lock(mtx_);
-  return thd(id).name;
-}
-
 std::vector<ThreadId> Kernel::thread_ids() const {
   std::lock_guard<std::mutex> lock(mtx_);
   std::vector<ThreadId> ids;
   ids.reserve(threads_.size());
   for (const auto& tp : threads_) ids.push_back(tp->id);
   return ids;
-}
-
-CompId Kernel::thread_executing_in(ThreadId id) const {
-  std::lock_guard<std::mutex> lock(mtx_);
-  const SimThread& t = thd(id);
-  return t.stack.empty() ? t.home : t.stack.back().comp;
 }
 
 std::vector<CompId> Kernel::thread_invocation_stack(ThreadId id) const {
@@ -1021,15 +1004,22 @@ void Kernel::yield() {
   check_stack_epochs(*self);
 }
 
-void Kernel::check_stack_epochs(SimThread& self) {
+CompId Kernel::stale_frame_locked(const SimThread& t) const {
+  for (const auto& frame : t.stack) {  // Outermost stale frame wins.
+    if (find_slot_locked(frame.comp)->epoch != frame.epoch_at_entry) return frame.comp;
+  }
+  return kNoComp;
+}
+
+void Kernel::check_stack_epochs(SimThread& self, bool bank) {
   CompId stale = kNoComp;
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    for (const auto& frame : self.stack) {  // Outermost stale frame wins.
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
-        stale = frame.comp;
-        break;
-      }
+    stale = stale_frame_locked(self);
+    if (bank && stale != kNoComp && self.woken_explicitly && !self.wake_was_recovery) {
+      // The wakeup was real but the blocking call is about to be unwound and
+      // redone — bank it so the redo's block consumes it.
+      self.banked_wakeup = true;
     }
   }
   if (stale != kNoComp) throw ServerRebooted(stale);
@@ -1053,12 +1043,9 @@ bool Kernel::block_current() {
     // and would sleep through recovery forever. Unwinding here IS that
     // missed wake. Single-runner kernels can't hit this (the sweep and the
     // blocker never overlap), so the check is a no-op on fresh stacks.
-    for (const auto& frame : self.stack) {
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
-        const CompId stale = frame.comp;
-        lock.unlock();
-        throw ServerRebooted(stale);
-      }
+    if (const CompId stale = stale_frame_locked(self); stale != kNoComp) {
+      lock.unlock();
+      throw ServerRebooted(stale);
     }
     trace(trace::EventKind::kBlock, self.stack.empty() ? self.home : self.stack.back().comp);
     self.state = ThreadState::kBlocked;
@@ -1066,32 +1053,13 @@ bool Kernel::block_current() {
     self.wake_was_recovery = false;
     reschedule_and_wait_locked(lock, self);
   }
-  check_stack_epochs_banking(self);
+  check_stack_epochs(self, /*bank=*/true);
   return self.woken_explicitly && !self.wake_was_recovery;
 }
 
 void Kernel::bank_wakeup(ThreadId target_id) {
   std::lock_guard<std::mutex> lock(mtx_);
   thd(target_id).banked_wakeup = true;
-}
-
-void Kernel::check_stack_epochs_banking(SimThread& self) {
-  CompId stale = kNoComp;
-  {
-    std::lock_guard<std::mutex> lock(mtx_);
-    for (const auto& frame : self.stack) {
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
-        stale = frame.comp;
-        break;
-      }
-    }
-    if (stale != kNoComp && self.woken_explicitly && !self.wake_was_recovery) {
-      // The wakeup was real but the blocking call is about to be unwound and
-      // redone — bank it so the redo's block consumes it.
-      self.banked_wakeup = true;
-    }
-  }
-  if (stale != kNoComp) throw ServerRebooted(stale);
 }
 
 bool Kernel::block_current_until(VirtualTime deadline) {
@@ -1114,7 +1082,7 @@ bool Kernel::block_current_until(VirtualTime deadline) {
       self.wake_was_recovery = false;
       reschedule_and_wait_locked(lock, self);
     }
-    check_stack_epochs_banking(self);
+    check_stack_epochs(self, /*bank=*/true);
     // A T0 eager-recovery wake is spurious by design: with no stale frame to
     // unwind (the check above did not throw), the timed wait is still in
     // force, so re-block until the original deadline — exactly like
@@ -1126,24 +1094,27 @@ bool Kernel::block_current_until(VirtualTime deadline) {
   }
 }
 
+void Kernel::park_locked(std::unique_lock<std::mutex>& lock, SimThread& self,
+                         VirtualTime until) {
+  const bool saved_bank = self.banked_wakeup;
+  self.banked_wakeup = false;
+  self.state = ThreadState::kTimedBlocked;
+  self.deadline = until;
+  self.woken_explicitly = false;
+  self.wake_was_recovery = false;
+  reschedule_and_wait_locked(lock, self);
+  if (saved_bank || (self.woken_explicitly && !self.wake_was_recovery)) {
+    self.banked_wakeup = true;
+  }
+}
+
 void Kernel::park_tick(VirtualTime dur) {
   SimThread* self_ptr = self_if_running();
   SG_ASSERT_MSG(self_ptr != nullptr, "park_tick outside simulated thread");
   SimThread& self = *self_ptr;
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    // Same bank-preserving park as the admission gate: a wakeup delivered
-    // while we wait here belongs to whatever blocking call we make next.
-    const bool saved_bank = self.banked_wakeup;
-    self.banked_wakeup = false;
-    self.state = ThreadState::kTimedBlocked;
-    self.deadline = clock_.now() + dur;
-    self.woken_explicitly = false;
-    self.wake_was_recovery = false;
-    reschedule_and_wait_locked(lock, self);
-    if (saved_bank || (self.woken_explicitly && !self.wake_was_recovery)) {
-      self.banked_wakeup = true;
-    }
+    park_locked(lock, self, clock_.now() + dur);
   }
   check_stack_epochs(self);
 }
@@ -1246,8 +1217,8 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   bool preempted = false;
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    auto comp_it = components_.find(server);
-    SG_ASSERT_MSG(comp_it != components_.end(), "invoke of unknown component");
+    const CompSlot* srv_slot = find_slot_locked(server);
+    SG_ASSERT_MSG(srv_slot != nullptr && srv_slot->comp != nullptr, "invoke of unknown component");
     ++invocation_count_;
     clock_.advance(tick_per_invocation_);
     if (SimThread* s = self_if_running()) {
@@ -1305,7 +1276,7 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
         // we now hold occupancy of a component that is closed for its
         // reboot. Requeue until it reopens; the epoch fence below then
         // converts the entry into a clean redo.
-        while (fault_pending_.count(server) != 0 && !shutdown_ &&
+        while (slot_locked(server).fault_pending && !shutdown_ &&
                !recovery_authority_locked(server, self->id)) {
           occ_release_locked(server, self->id);
           occ_wait_acquire_locked(lock, *self, server);
@@ -1318,7 +1289,8 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
     // but before it dispatched. The fault overlapped the call, so report it
     // exactly like a fault during the handler: the stub redoes the call
     // through recovery with freshly translated arguments.
-    if (fault_epochs_.at(server) != entry_epoch) {
+    const int epoch = slot_locked(server).epoch;
+    if (epoch != entry_epoch) {
       if (handed_off) {
         // Undo the handoff: give the server back and retake our old slot
         // (a no-op retake when the caller has no home component).
@@ -1327,7 +1299,7 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
       }
       return {0, true};
     }
-    self->stack.push_back({server, fault_epochs_.at(server)});
+    self->stack.push_back({server, epoch});
     // Traced inside the same critical section as the epoch fence so the
     // event order agrees with the admission decision: an enter sequenced
     // after a kFault really did queue behind the containment gate. At
@@ -1365,7 +1337,7 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
     pop_frame(0);
     {
       std::lock_guard<std::mutex> lock(mtx_);
-      ++completions_[server];
+      ++slot_locked(server).completions;
     }
     return {ret, false};
   } catch (const ComponentFault& fault) {
@@ -1418,15 +1390,15 @@ void Kernel::inject_crash(CompId comp_id) {
 
 void Kernel::vector_fault(CompId comp_id) {
   // Acquire the recovery domain over the fault's dependency closure. The
-  // component is closed (fault_pending_) in the same critical section that
-  // claims the domain and records kFault: any invocation traced after kFault
-  // queued behind the gate, so nothing enters a detected-faulty component
-  // before its reboot (invariant 1, fault containment). Single-runner
-  // kernels get this for free -- the recovery runs to completion on the
-  // faulting thread. At cores>1 a fault whose closure overlaps an active
-  // domain waits here (releasing its core, holding nothing) while faults in
-  // disjoint closures recover concurrently and application threads in
-  // healthy components keep running.
+  // component is closed (its slot's fault_pending) in the same critical
+  // section that claims the domain and records kFault: any invocation traced
+  // after kFault queued behind the gate, so nothing enters a detected-faulty
+  // component before its reboot (invariant 1, fault containment).
+  // Single-runner kernels get this for free -- the recovery runs to
+  // completion on the faulting thread. At cores>1 a fault whose closure
+  // overlaps an active domain waits here (releasing its core, holding
+  // nothing) while faults in disjoint closures recover concurrently and
+  // application threads in healthy components keep running.
   DomainLock recovery(*this, comp_id, /*record_fault=*/true);
   try {
     if (fault_supervisor_) {
@@ -1457,7 +1429,7 @@ void Kernel::perform_micro_reboot(CompId comp_id) {
   ThreadId seize_owner = kRootOwner;
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    epoch = ++fault_epochs_[comp_id];
+    epoch = ++slot_locked(comp_id).epoch;
     ++total_reboots_;
     if (ncores_ > 1 && !shutdown_ && running_) {
       // Quiesce: seize the component's occupancy so no other core executes
@@ -1497,12 +1469,14 @@ void Kernel::quarantine(CompId comp_id) {
   std::vector<ThreadId> blocked;
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    if (!quarantined_.insert(comp_id).second) return;
+    CompSlot& s = slot_locked(comp_id);
+    if (s.quarantined) return;
+    s.quarantined = true;
     // Invalidate every invocation frame inside the dead component so blocked
     // threads unwind (ServerRebooted) instead of sleeping forever, and erase
     // any pending backoff hold: the gate now fails fast instead of waiting.
-    ++fault_epochs_[comp_id];
-    hold_until_.erase(comp_id);
+    ++s.epoch;
+    s.hold_until = 0;
     clear_fault_pending_locked(comp_id);  // Quarantine resolves the fault.
     for (const auto& tp : threads_) {
       if (tp->state != ThreadState::kBlocked && tp->state != ThreadState::kTimedBlocked) continue;
@@ -1521,33 +1495,34 @@ void Kernel::quarantine(CompId comp_id) {
 void Kernel::readmit(CompId comp_id) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    if (quarantined_.erase(comp_id) == 0) {
-      hold_until_.erase(comp_id);
-      return;
-    }
-    hold_until_.erase(comp_id);
+    CompSlot& s = slot_locked(comp_id);
+    const bool was_quarantined = s.quarantined;
+    s.quarantined = false;
+    s.hold_until = 0;
+    if (!was_quarantined) return;
   }
   trace(trace::EventKind::kReadmit, comp_id);
 }
 
 bool Kernel::is_quarantined(CompId comp_id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  return quarantined_.count(comp_id) != 0;
+  const CompSlot* s = find_slot_locked(comp_id);
+  return s != nullptr && s->quarantined;
 }
 
 void Kernel::hold_component(CompId comp_id, VirtualTime until) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    VirtualTime& slot = hold_until_[comp_id];
-    slot = std::max(slot, until);
+    VirtualTime& hold = slot_locked(comp_id).hold_until;
+    hold = std::max(hold, until);
   }
   trace(trace::EventKind::kHold, comp_id, 0, 0, static_cast<std::int64_t>(until));
 }
 
 VirtualTime Kernel::held_until(CompId comp_id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = hold_until_.find(comp_id);
-  return it == hold_until_.end() ? 0 : it->second;
+  const CompSlot* s = find_slot_locked(comp_id);
+  return s == nullptr ? 0 : s->hold_until;
 }
 
 bool Kernel::admission_gate(CompId server) {
@@ -1556,7 +1531,7 @@ bool Kernel::admission_gate(CompId server) {
     // Root/boot context cannot park on the virtual clock; it only honours the
     // fail-fast quarantine check.
     std::lock_guard<std::mutex> lock(mtx_);
-    if (quarantined_.count(server) != 0) throw QuarantinedError(server);
+    if (slot_locked(server).quarantined) throw QuarantinedError(server);
     return true;
   }
   SimThread& self = *self_ptr;
@@ -1565,31 +1540,20 @@ bool Kernel::admission_gate(CompId server) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mtx_);
-      if (quarantined_.count(server) != 0) throw QuarantinedError(server);
+      const CompSlot& s = slot_locked(server);
+      if (s.quarantined) throw QuarantinedError(server);
       if (first_pass) {
         first_pass = false;
-        epoch_at_entry = fault_epochs_.at(server);
+        epoch_at_entry = s.epoch;
       }
-      auto it = hold_until_.find(server);
-      const VirtualTime until = it == hold_until_.end() ? 0 : it->second;
       // If the server rebooted again while we were parked here, our caller's
       // view of it is stale (no ServerRebooted reached us: the server frame
       // is not on our stack yet). Refuse admission so the stub recovers.
-      if (until <= clock_.now()) return fault_epochs_.at(server) == epoch_at_entry;
-      // Park until the supervisor's backoff expires WITHOUT consuming
-      // wakeups: a banked or genuine wakeup delivered while waiting here
-      // belongs to the blocking call the client is about to redo, so it is
-      // re-banked (exactly-once wakeup semantics survive the hold).
-      const bool saved_bank = self.banked_wakeup;
-      self.banked_wakeup = false;
-      self.state = ThreadState::kTimedBlocked;
-      self.deadline = until;
-      self.woken_explicitly = false;
-      self.wake_was_recovery = false;
-      reschedule_and_wait_locked(lock, self);
-      if (saved_bank || (self.woken_explicitly && !self.wake_was_recovery)) {
-        self.banked_wakeup = true;
-      }
+      if (s.hold_until <= clock_.now()) return s.epoch == epoch_at_entry;
+      // Park until the supervisor's backoff expires. A wakeup delivered
+      // while waiting here belongs to the blocking call the client is about
+      // to redo (exactly-once wakeup semantics survive the hold).
+      park_locked(lock, self, s.hold_until);
     }
     // Components on our stack may have rebooted while we waited out the hold.
     check_stack_epochs(self);
@@ -1598,8 +1562,8 @@ bool Kernel::admission_gate(CompId server) {
 
 std::uint64_t Kernel::completions_of(CompId comp) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = completions_.find(comp);
-  return it == completions_.end() ? 0 : it->second;
+  const CompSlot* s = find_slot_locked(comp);
+  return s == nullptr ? 0 : s->completions;
 }
 
 std::vector<Kernel::BlockedThreadInfo> Kernel::reflect_blocked_threads() const {

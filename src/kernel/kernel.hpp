@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "kernel/clock.hpp"
@@ -90,8 +89,8 @@ class SchedulePolicy {
 /// guarantees exactly one simulated thread runs at any instant (single-core,
 /// like the paper's evaluation), so component state needs no locking and the
 /// schedule is deterministic. With cores() > 1 up to N simulated threads run
-/// genuinely in parallel, one per simulated core; a per-component occupancy
-/// map serializes threads *running* inside the same component (matching the
+/// genuinely in parallel, one per simulated core; per-component occupancy
+/// serializes threads *running* inside the same component (matching the
 /// single-core guarantee that handler code between scheduling points is never
 /// interleaved), while threads in independent components proceed
 /// concurrently. Recovery (fault vectoring, micro-reboots, supervisor
@@ -113,7 +112,6 @@ class Kernel {
   CompId register_component(Component* comp);  ///< Called by Component's ctor.
   void unregister_component(CompId id);        ///< Called by Component's dtor.
   Component& component(CompId id) const;
-  Component* find_component(const std::string& name) const;
   std::vector<CompId> component_ids() const;
 
   /// Per-component fault epoch: incremented on every micro-reboot. Client
@@ -137,7 +135,6 @@ class Kernel {
   /// Requests an orderly shutdown: each thread unwinds (via ShutdownSignal)
   /// the next time it would be scheduled. Callable from a simulated thread.
   void shutdown();
-  bool shutting_down() const { return shutdown_; }
 
   // --- simulated cores --------------------------------------------------------
   /// Sets the number of simulated cores (default 1). Must be called before
@@ -181,8 +178,8 @@ class Kernel {
   /// Acquires the recovery domain covering `faulted` — an all-or-nothing
   /// claim of its dependency closure (no hold-and-wait, hence no deadlock).
   /// A closure overlapping an active domain escalates to a machine-wide
-  /// acquisition. Re-entrant per owner. With record_fault the
-  /// fault_pending_ insertion and the kFault trace happen atomically with
+  /// acquisition. Re-entrant per owner. With record_fault the component is
+  /// closed (its slot's fault_pending) and kFault is traced atomically with
   /// the claim. At cores=1: records the fault (if asked) and returns.
   void acquire_recovery_domain(CompId faulted, bool record_fault = false);
   void release_recovery_domain();
@@ -233,12 +230,7 @@ class Kernel {
   Priority thread_priority(ThreadId thd) const;
   void set_thread_priority(ThreadId thd, Priority prio);
   RegisterFile& thread_registers(ThreadId thd);
-  const std::string& thread_name(ThreadId thd) const;
   std::vector<ThreadId> thread_ids() const;
-
-  /// Component at the top of a thread's invocation stack (where it is
-  /// executing or blocked), or its home component.
-  CompId thread_executing_in(ThreadId thd) const;
 
   /// The thread's full invocation stack (outermost first), for SWIFI targeting
   /// and scheduler reflection.
@@ -304,13 +296,11 @@ class Kernel {
 
   /// Recovery-layer hook run after every micro-reboot (eager/T0 recovery).
   void add_reboot_hook(RebootHook hook) { reboot_hooks_.push_back(std::move(hook)); }
-  void clear_reboot_hooks() { reboot_hooks_.clear(); }
 
   // --- exploration (src/explore) ----------------------------------------------
   /// Installs (nullptr: clears) the schedule/crash-point exploration policy.
   /// Not owned; must outlive the installed window. Resets the step budget.
   void set_schedule_policy(SchedulePolicy* policy);
-  SchedulePolicy* schedule_policy() const { return schedule_policy_; }
 
   /// Scheduling decisions allowed before a policy-driven run is declared
   /// livelocked (surfaces as SystemCrash kHang). Only counts while a policy
@@ -434,10 +424,28 @@ class Kernel {
     int depth = 0;
   };
 
+  /// Everything the kernel keeps about one component, indexed by CompId
+  /// (ids are handed out densely: 1, 2, ... in registration order).
+  /// Guarded by mtx_. Registration can grow the vector, so no slot reference
+  /// is held across a wait.
+  struct CompSlot {
+    Component* comp = nullptr;  ///< nullptr once unregistered.
+    int epoch = 0;              ///< Fault epoch; survives unregistration.
+    std::uint64_t completions = 0;
+    VirtualTime hold_until = 0;
+    bool quarantined = false;
+    /// Closed between fault detection and its micro-reboot (or quarantine):
+    /// invariant 1 fault containment at cores > 1. Never set on a
+    /// single-runner kernel.
+    bool fault_pending = false;
+    Occupant occupant;                  ///< cores>1 only.
+    ThreadId domain_owner = kNoThread;  ///< Recovery domain claiming it (cores>1).
+    std::vector<CompId> caps;           ///< Servers it may invoke (default_allow_ off).
+  };
+
   /// One in-flight recovery domain (cores>1 only): the claimed closure, the
   /// re-entrancy depth, and the machine-escalation flags. Keyed by owner in
-  /// active_recoveries_; each claimed CompId maps back to the owner in
-  /// domain_owner_.
+  /// active_recoveries_; each claimed component's slot names the owner.
   struct ActiveRecovery {
     int depth = 0;
     std::uint64_t seq = 0;       ///< Acquisition order; breaks escalation ties.
@@ -448,6 +456,11 @@ class Kernel {
   };
 
   SimThread& thd(ThreadId id) const;
+  /// The slot of a registered component id; asserts on any other id.
+  /// Requires mtx_.
+  CompSlot& slot_locked(CompId id);
+  /// Same, or nullptr for an id never registered (kNoComp included).
+  const CompSlot* find_slot_locked(CompId id) const;
   /// The calling host thread's simulated thread in THIS kernel, or nullptr
   /// for root/boot contexts (and sim threads of other kernels).
   SimThread* self_if_running() const;
@@ -494,11 +507,18 @@ class Kernel {
   void advance_time_to_next_deadline_locked();
   void wake_expired_timers_locked();
   void trampoline(SimThread& t);
-  /// Raises ServerRebooted if any frame on self's stack is stale.
-  void check_stack_epochs(SimThread& self);
-  /// Same, but banks a genuine (non-recovery) wakeup before unwinding a
-  /// blocked call so the redo does not lose it.
-  void check_stack_epochs_banking(SimThread& self);
+  /// Parks `self` until virtual time `until` WITHOUT consuming a wakeup: one
+  /// banked before the park, or a genuine one delivered during it, is
+  /// (re-)banked for the blocking call the thread makes next. Serves
+  /// park_tick and the admission gate's backoff hold.
+  void park_locked(std::unique_lock<std::mutex>& lock, SimThread& self, VirtualTime until);
+  /// The outermost frame on `t`'s stack whose component rebooted since the
+  /// frame was pushed, or kNoComp. Requires mtx_.
+  CompId stale_frame_locked(const SimThread& t) const;
+  /// Raises ServerRebooted for the outermost stale frame on self's stack.
+  /// With `bank`, a genuine (non-recovery) wakeup the thread just consumed
+  /// is banked first, so the redo of the unwound blocking call gets it.
+  void check_stack_epochs(SimThread& self, bool bank = false);
   void record_crash(const SystemCrash& crash);
   void do_micro_reboot(Component& comp);
   /// Fault path shared by invoke() and inject_crash(): supervisor-or-direct
@@ -541,9 +561,7 @@ class Kernel {
   mutable std::mutex mtx_;
   std::condition_variable cv_;
 
-  std::unordered_map<CompId, Component*> components_;
-  std::unordered_map<CompId, int> fault_epochs_;
-  CompId next_comp_id_ = 1;
+  std::vector<CompSlot> comps_;  ///< comps_[id - 1] is component `id`'s slot.
 
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::uint64_t ready_seq_counter_ = 0;
@@ -555,14 +573,8 @@ class Kernel {
   int next_affinity_ = 0;
   int running_now_ = 0;
   int max_concurrent_ = 0;
-  std::unordered_map<CompId, Occupant> occupants_;
-  /// Components closed between fault detection and their micro-reboot (or
-  /// quarantine): invariant 1 fault containment at cores > 1. Guarded by
-  /// mtx_; always empty on a single-runner kernel.
-  std::unordered_set<CompId> fault_pending_;
   /// Recovery domains (cores>1 only; all empty/false on a single-runner
   /// kernel, where the handoff serializes recovery globally).
-  std::unordered_map<CompId, ThreadId> domain_owner_;
   std::unordered_map<ThreadId, ActiveRecovery> active_recoveries_;
   bool machine_held_ = false;
   ThreadId machine_owner_ = kNoThread;
@@ -571,11 +583,9 @@ class Kernel {
   DomainResolver domain_resolver_;
 
   bool default_allow_ = true;
-  std::unordered_set<std::uint64_t> caps_;  ///< (client << 32) | server.
 
   VirtualClock clock_;
   VirtualTime tick_per_invocation_ = 1;
-  std::unordered_map<CompId, std::uint64_t> completions_;
 
   std::function<void(Component&)> micro_reboot_;
   std::vector<RebootHook> reboot_hooks_;
@@ -589,8 +599,6 @@ class Kernel {
                                          ///< stamped into kInvokeEnter events as
                                          ///< commutation metadata).
   ThreadId sched_incumbent_ = kNoThread;  ///< Valid for the next pick only.
-  std::unordered_map<CompId, VirtualTime> hold_until_;
-  std::unordered_set<CompId> quarantined_;
   int total_reboots_ = 0;
   std::uint64_t invocation_count_ = 0;
   int invoke_depth_guard_ = 0;

@@ -56,10 +56,6 @@ class RegisterFile {
   /// True if the architectural value currently differs from the shadow.
   bool corrupted(Reg reg) const { return cell(reg).value != cell(reg).shadow; }
 
-  /// Marks the register dead (value no longer live); subsequent flips are
-  /// guaranteed-undetected until the next store.
-  void kill(Reg reg) { cell(reg).cls = RegClass::kDead; }
-
   /// SWIFI entry point: XORs a single bit of the architectural value.
   /// Returns the register class at injection time (for outcome accounting).
   RegClass flip_bit(Reg reg, int bit);
@@ -85,7 +81,6 @@ class RegisterFile {
   /// use this to decide whether to model pipeline occupancy at all: when no
   /// flip is aimed at them, their handlers stay zero-cost.
   bool armed_for(CompId comp) const { return armed_.active && armed_.comp == comp; }
-  void disarm() { armed_.active = false; }
 
   /// Information about the flip most recently *applied* (not armed).
   struct AppliedFlip {
@@ -95,7 +90,6 @@ class RegisterFile {
   };
   bool flip_was_applied() const { return applied_valid_; }
   const AppliedFlip& last_applied() const { return applied_; }
-  void clear_applied() { applied_valid_ = false; }
 
  private:
   struct Cell {

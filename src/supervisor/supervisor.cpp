@@ -5,7 +5,7 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/stats.hpp"
+#include "util/rng.hpp"
 
 namespace sg::supervisor {
 
@@ -95,12 +95,9 @@ VirtualTime Supervisor::jittered_backoff(CompId comp, int trip) const {
   // splitmix64 over (seed, comp, trip): a pure function of the policy seed,
   // so reruns with the same seed reproduce every hold exactly while replicas
   // seeded differently spread their holds across [base, base * (1 + pct)).
-  std::uint64_t x = policy_.jitter_seed ^ (static_cast<std::uint64_t>(comp) * 0x9e3779b97f4a7c15ULL) ^
-                    (static_cast<std::uint64_t>(trip) * 0xbf58476d1ce4e5b9ULL);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64(policy_.jitter_seed ^ (static_cast<std::uint64_t>(comp) * kSplitMixGamma) ^
+                 (static_cast<std::uint64_t>(trip) * 0xbf58476d1ce4e5b9ULL));
   const VirtualTime span = base * static_cast<VirtualTime>(policy_.backoff_jitter_pct) / 100;
   return base + (span > 0 ? x % span : 0);
 }
@@ -315,24 +312,6 @@ int Supervisor::history_of(CompId comp) const {
   std::lock_guard<std::mutex> lock(mtx_);
   auto it = tracks_.find(comp);
   return it == tracks_.end() ? 0 : static_cast<int>(it->second.history.size());
-}
-
-std::string Supervisor::format_report() const {
-  TextTable table;
-  table.add_row({"Component", "Level", "Trips", "Window faults", "Held until", "Quarantined"});
-  std::lock_guard<std::mutex> lock(mtx_);
-  std::vector<CompId> ids;
-  ids.reserve(tracks_.size());
-  for (const auto& [comp, track] : tracks_) ids.push_back(comp);
-  std::sort(ids.begin(), ids.end());
-  for (const CompId comp : ids) {
-    const Track& track = tracks_.at(comp);
-    table.add_row({kernel_.component(comp).name(), to_string(track.level),
-                   std::to_string(track.total_trips), std::to_string(track.history.size()),
-                   std::to_string(kernel_.held_until(comp)),
-                   kernel_.is_quarantined(comp) ? "yes" : "no"});
-  }
-  return table.render();
 }
 
 }  // namespace sg::supervisor

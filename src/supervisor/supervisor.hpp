@@ -128,9 +128,6 @@ class Supervisor {
   /// it), in BFS order from the direct dependents outward.
   std::vector<kernel::CompId> dependents_of(kernel::CompId comp) const;
 
-  /// Human-readable per-component summary table (level, trips, holds).
-  std::string format_report() const;
-
  private:
   struct Track {
     std::deque<kernel::VirtualTime> history;  ///< Reboots inside the window.

@@ -49,13 +49,7 @@ namespace {
 /// Copies the end-of-run observables out of the system into the report.
 void finalize(System& sys, CompId escalation_comp, StressReport& report) {
   if (sys.config().trace) {
-    const trace::Tracer::Snapshot snap = sys.kernel().tracer().snapshot();
-    const trace::NameFn names = components::comp_namer(sys);
-    report.trace_normalized = trace::format_normalized(snap.events, names);
-    std::ostringstream json;
-    trace::write_chrome_trace(json, snap, names);
-    report.trace_chrome_json = json.str();
-    report.trace_truncated = snap.truncated();
+    report.trace = components::capture_trace(sys);
     if (report.crash.empty()) {
       trace::InvariantChecker checker(components::checker_hooks(sys));
       report.trace_violations = checker.check(sys.kernel().tracer());
@@ -574,12 +568,12 @@ StressReport run_independent_burst(const StressConfig& config) {
     for (const std::string& violation : ep_report.trace_violations) {
       report.trace_violations.push_back("episode " + std::to_string(ep) + ": " + violation);
     }
-    report.trace_truncated = report.trace_truncated || ep_report.trace_truncated;
+    const bool truncated = report.trace.truncated || ep_report.trace.truncated;
     if (ep == 0) {
-      report.trace_normalized = ep_report.trace_normalized;
-      report.trace_chrome_json = ep_report.trace_chrome_json;
+      report.trace = ep_report.trace;
       report.events = ep_report.events;
     }
+    report.trace.truncated = truncated;
     if (!ep_report.completed) {
       report.completed = false;
       if (report.crash.empty()) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "components/trace_check.hpp"
 #include "supervisor/supervisor.hpp"
 
 namespace sg::swifi {
@@ -69,11 +70,10 @@ struct StressReport {
                                         ///< completed over the whole run.
   int bystander_ops_during_recovery = 0;  ///< ...completed while at least one
                                           ///< recovery domain was in flight.
-  // Captured only with StressConfig::trace:
-  std::string trace_normalized;         ///< Normalized event stream.
-  std::string trace_chrome_json;        ///< Chrome trace_event export.
+  // Captured only with StressConfig::trace (kIndependentBurst: episode 0's
+  // events, truncated if any episode's log overflowed):
+  components::TraceCapture trace;
   std::vector<std::string> trace_violations;  ///< Recovery-invariant breaks.
-  bool trace_truncated = false;         ///< Log overflow dropped events.
 };
 
 StressReport run_stress(StressMode mode, const StressConfig& config = {});

@@ -1,7 +1,5 @@
 #include "swifi/swifi.hpp"
 
-#include <sstream>
-
 #include "c3stubs/c3_stubs.hpp"
 #include "components/trace_check.hpp"
 #include "swifi/workloads.hpp"
@@ -45,21 +43,14 @@ std::uint64_t episode_seed(std::uint64_t master, const std::string& cell, std::u
     tag ^= static_cast<unsigned char>(c);
     tag *= 0x100000001b3ULL;
   }
-  std::uint64_t x = master ^ tag ^ (episode * 0x9e3779b97f4a7c15ULL);
-  for (int round = 0; round < 2; ++round) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-  }
-  return x;
+  return splitmix64(splitmix64(master ^ tag ^ (episode * kSplitMixGamma)));
 }
 
 Outcome Campaign::run_episode(const std::string& service, std::uint64_t episode,
                               EpisodeTrace* trace_out) {
   // The historical Table II seed derivation, kept bit-for-bit so golden
   // traces and the determinism tests survive the run_episode_detail split.
-  const std::uint64_t seed = config_.seed ^ (episode * 0x9e3779b97f4a7c15ULL);
+  const std::uint64_t seed = config_.seed ^ (episode * kSplitMixGamma);
   return run_episode_detail(service, seed, EpisodeOptions{}, trace_out).outcome;
 }
 
@@ -167,13 +158,7 @@ EpisodeResult Campaign::run_episode_detail(const std::string& service, std::uint
       if (trace_out != nullptr) trace_out->violations = violations;
     }
     if (trace_out != nullptr) {
-      const trace::Tracer::Snapshot snap = kern.tracer().snapshot();
-      const trace::NameFn names = components::comp_namer(sys);
-      trace_out->normalized = trace::format_normalized(snap.events, names);
-      std::ostringstream json;
-      trace::write_chrome_trace(json, snap, names);
-      trace_out->chrome_json = json.str();
-      trace_out->truncated = snap.truncated();
+      static_cast<components::TraceCapture&>(*trace_out) = components::capture_trace(sys);
     }
     return result;
   };

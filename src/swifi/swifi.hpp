@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "components/system.hpp"
+#include "components/trace_check.hpp"
 #include "util/rng.hpp"
 
 namespace sg::swifi {
@@ -83,11 +84,8 @@ struct EpisodeResult {
 
 /// What an episode's tracer captured, for the invariant checker, the
 /// determinism tests, and --trace exports.
-struct EpisodeTrace {
-  std::string normalized;       ///< format_normalized of the episode's events.
-  std::string chrome_json;      ///< Chrome trace_event export.
+struct EpisodeTrace : components::TraceCapture {
   std::vector<std::string> violations;  ///< Recovery-invariant violations.
-  bool truncated = false;       ///< Log overflow dropped the oldest events.
 };
 
 /// Runs the SWIFI episodes of §V-D: for each injection, a fresh system

@@ -5,6 +5,19 @@
 
 namespace sg {
 
+/// SplitMix64's golden-ratio increment.
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// One SplitMix64 step: adds the increment to `x` and returns the finalized
+/// (bit-mixed) result. Rng::reseed expands seeds with it, and the fleet,
+/// supervisor-jitter and SWIFI episode seed derivations mix with it.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic, seedable PRNG (xoshiro256**). Every stochastic element of
 /// the simulator (SWIFI target selection, bit positions, workload jitter)
 /// draws from an explicitly seeded Rng so campaigns are reproducible.
@@ -14,14 +27,10 @@ class Rng {
 
   void reseed(std::uint64_t seed) {
     // SplitMix64 expansion of the seed into the xoshiro state.
-    auto next = [&seed]() {
-      seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return z ^ (z >> 31);
-    };
-    for (auto& word : state_) word = next();
+    for (auto& word : state_) {
+      word = splitmix64(seed);
+      seed += kSplitMixGamma;
+    }
   }
 
   std::uint64_t next_u64() {

@@ -108,11 +108,6 @@ void ConnectionLayer::complete(kernel::Value conn) {
   if (it != conns_.end()) ++it->second.completed;
 }
 
-std::size_t ConnectionLayer::open_connections() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return conns_.size();
-}
-
 std::uint64_t ConnectionLayer::connections_opened() const {
   std::lock_guard<std::mutex> guard(mu_);
   return opened_;

@@ -78,7 +78,6 @@ class ConnectionLayer {
   void complete(kernel::Value conn);
 
   // --- accounting -----------------------------------------------------------
-  std::size_t open_connections() const;
   std::uint64_t connections_opened() const;
   std::uint64_t submits() const;
   std::uint64_t ring_recycles() const;

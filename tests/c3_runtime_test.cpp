@@ -129,27 +129,29 @@ class StorageTest : public ::testing::Test {
 };
 
 TEST_F(StorageTest, DescRecordsRoundTrip) {
-  storage.record_desc("evt", 5, {/*creator=*/3, /*parent=*/0, {{"grp", 2}}});
-  const auto record = storage.lookup_desc("evt", 5);
+  const c3::NsId evt = storage.intern_ns("evt");
+  storage.record_desc(evt, 5, {/*creator=*/3, /*parent=*/0, {{"grp", 2}}});
+  const auto record = storage.lookup_desc(evt, 5);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->creator, 3);
   EXPECT_EQ(record->meta.at("grp"), 2);
-  EXPECT_FALSE(storage.lookup_desc("evt", 6).has_value());
-  EXPECT_FALSE(storage.lookup_desc("lock", 5).has_value());  // Namespaced.
-  storage.erase_desc("evt", 5);
-  EXPECT_FALSE(storage.lookup_desc("evt", 5).has_value());
+  EXPECT_FALSE(storage.lookup_desc(evt, 6).has_value());
+  EXPECT_FALSE(storage.lookup_desc(storage.intern_ns("lock"), 5).has_value());  // Namespaced.
+  storage.erase_desc(evt, 5);
+  EXPECT_FALSE(storage.lookup_desc(evt, 5).has_value());
 }
 
 TEST_F(StorageTest, DataSlicesRoundTrip) {
-  storage.store_data("ramfs", 99, {0, 123, 7});
-  const auto slice = storage.fetch_data("ramfs", 99);
+  const c3::NsId ramfs = storage.intern_ns("ramfs");
+  storage.store_data(ramfs, 99, {0, 123, 7});
+  const auto slice = storage.fetch_data(ramfs, 99);
   ASSERT_TRUE(slice.has_value());
   EXPECT_EQ(slice->length, 123);
   EXPECT_EQ(slice->data, 7);
-  storage.store_data("ramfs", 99, {0, 456, 7});  // Overwrite.
-  EXPECT_EQ(storage.fetch_data("ramfs", 99)->length, 456);
-  storage.erase_data("ramfs", 99);
-  EXPECT_FALSE(storage.fetch_data("ramfs", 99).has_value());
+  storage.store_data(ramfs, 99, {0, 456, 7});  // Overwrite.
+  EXPECT_EQ(storage.fetch_data(ramfs, 99)->length, 456);
+  storage.erase_data(ramfs, 99);
+  EXPECT_FALSE(storage.fetch_data(ramfs, 99).has_value());
 }
 
 TEST_F(StorageTest, HashIdIsStableAndSpread) {
@@ -167,9 +169,10 @@ TEST_F(StorageTest, SurvivesOtherComponentsReboots) {
     explicit Dummy(kernel::Kernel& kernel) : Component(kernel, "dummy") {}
     void reset_state() override {}
   } dummy(kern);
-  storage.record_desc("evt", 1, {2, 0, {}});
+  const c3::NsId evt = storage.intern_ns("evt");
+  storage.record_desc(evt, 1, {2, 0, {}});
   kern.inject_crash(dummy.id());
-  EXPECT_TRUE(storage.lookup_desc("evt", 1).has_value());
+  EXPECT_TRUE(storage.lookup_desc(evt, 1).has_value());
 }
 
 }  // namespace

@@ -27,6 +27,10 @@ struct Seeded {
   FtMode mode;
 };
 
+/// The ctest name suffix (`seed11`); without it gtest prints the struct's
+/// bytes, padding included, and the names would change from build to build.
+void PrintTo(const Seeded& param, std::ostream* os) { *os << "seed" << param.seed; }
+
 class CrashOracleTest : public ::testing::TestWithParam<Seeded> {
  protected:
   std::unique_ptr<System> make_system() {
@@ -242,10 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndModes, CrashOracleTest,
     ::testing::Values(Seeded{11, FtMode::kSuperGlue}, Seeded{23, FtMode::kSuperGlue},
                       Seeded{37, FtMode::kSuperGlue}, Seeded{51, FtMode::kSuperGlue},
-                      Seeded{77, FtMode::kSuperGlue}),
-    [](const ::testing::TestParamInfo<Seeded>& info) {
-      return "seed" + std::to_string(info.param.seed);
-    });
+                      Seeded{77, FtMode::kSuperGlue}));
 
 }  // namespace
 }  // namespace sg

@@ -141,6 +141,40 @@ TEST(WakeupSemanticsTest, GenuineWakeupSurvivesUnwoundBlock) {
   EXPECT_EQ(redos, 1);
 }
 
+TEST(WakeupSemanticsTest, ParksBankAWakeupForTheNextBlock) {
+  // park_tick and the admission gate's backoff hold wait without consuming a
+  // wakeup: one delivered while the thread is parked belongs to the next
+  // blocking call. Two wakeups for two blocks, each sent during a park; a
+  // park that swallowed one would leave the last block asleep (deadlock).
+  kernel::Kernel kern;
+  class Noop final : public kernel::Component {
+   public:
+    explicit Noop(kernel::Kernel& kernel) : Component(kernel, "noop") {
+      export_fn("op", [](CallCtx&, const Args&) -> Value { return 0; });
+    }
+    void reset_state() override {}
+  } noop(kern);
+
+  bool tick_wake_kept = false;
+  bool hold_wake_kept = false;
+  const auto parker = kern.thd_create("parker", 10, [&] {
+    kern.park_tick(100);  // The first wakeup lands here...
+    tick_wake_kept = kern.block_current();  // ...and is consumed here.
+    kern.hold_component(noop.id(), kern.now() + 100);
+    kern.invoke(kernel::kNoComp, noop.id(), "op", {});  // Parks at the gate: second wakeup.
+    hold_wake_kept = kern.block_current();
+  });
+  // Lower priority: each wakeup runs only once the parker is parked, and
+  // preempts back to it.
+  kern.thd_create("waker", 20, [&] {
+    kern.wakeup(parker);
+    kern.wakeup(parker);
+  });
+  EXPECT_NO_THROW(kern.run());
+  EXPECT_TRUE(tick_wake_kept);
+  EXPECT_TRUE(hold_wake_kept);
+}
+
 // --- preemption -------------------------------------------------------------------
 
 TEST(PreemptionTest, HigherPriorityWakeupPreemptsImmediately) {

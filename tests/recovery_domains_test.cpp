@@ -267,9 +267,9 @@ TEST(RecoveryDomains, CoresOneRunsAreByteIdentical) {
   config.trace = true;
   const swifi::StressReport a = swifi::run_stress(swifi::StressMode::kBurst, config);
   const swifi::StressReport b = swifi::run_stress(swifi::StressMode::kBurst, config);
-  ASSERT_FALSE(a.trace_normalized.empty());
-  EXPECT_EQ(a.trace_normalized, b.trace_normalized);
-  EXPECT_EQ(a.trace_normalized.find("domain"), std::string::npos)
+  ASSERT_FALSE(a.trace.normalized.empty());
+  EXPECT_EQ(a.trace.normalized, b.trace.normalized);
+  EXPECT_EQ(a.trace.normalized.find("domain"), std::string::npos)
       << "cores=1 traces must not contain domain events";
 
   campaign::Config campaign_config;

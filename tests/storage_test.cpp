@@ -44,13 +44,14 @@ StorageComponent::DescRecord make_record(kernel::CompId creator, Value parent) {
 TEST(StorageIntegrityTest, CorruptDescIsEvictedOnLookup) {
   Standalone box;
   auto& st = box.storage;
-  st.record_desc("svc", 10, make_record(3, 1));
-  ASSERT_TRUE(st.lookup_desc("svc", 10).has_value());
+  const c3::NsId svc = st.intern_ns("svc");
+  st.record_desc(svc, 10, make_record(3, 1));
+  ASSERT_TRUE(st.lookup_desc(svc, 10).has_value());
 
   ASSERT_TRUE(st.corrupt_desc("svc", 10));
-  const auto after = st.lookup_desc("svc", 10);
+  const auto after = st.lookup_desc(svc, 10);
   EXPECT_FALSE(after.has_value());  // Evicted, reported as a miss.
-  EXPECT_EQ(st.desc_count("svc"), 0u);  // Gone, not resurrected.
+  EXPECT_EQ(st.desc_count(svc), 0u);  // Gone, not resurrected.
   EXPECT_EQ(st.stats().desc_evictions, 1u);
   EXPECT_EQ(st.stats().data_evictions, 0u);
 }
@@ -58,26 +59,28 @@ TEST(StorageIntegrityTest, CorruptDescIsEvictedOnLookup) {
 TEST(StorageIntegrityTest, CorruptDataIsEvictedOnFetch) {
   Standalone box;
   auto& st = box.storage;
-  st.store_data("svc", 44, {0, 128, 9});
-  ASSERT_TRUE(st.fetch_data("svc", 44).has_value());
+  const c3::NsId svc = st.intern_ns("svc");
+  st.store_data(svc, 44, {0, 128, 9});
+  ASSERT_TRUE(st.fetch_data(svc, 44).has_value());
 
   ASSERT_TRUE(st.corrupt_data("svc", 44));
-  EXPECT_FALSE(st.fetch_data("svc", 44).has_value());
-  EXPECT_EQ(st.data_count("svc"), 0u);
+  EXPECT_FALSE(st.fetch_data(svc, 44).has_value());
+  EXPECT_EQ(st.data_count(svc), 0u);
   EXPECT_EQ(st.stats().data_evictions, 1u);
 }
 
 TEST(StorageIntegrityTest, IntactRecordsSurviveReads) {
   Standalone box;
   auto& st = box.storage;
-  st.record_desc("svc", 1, make_record(2, 0));
-  st.store_data("svc", 1, {4, 16, 3});
+  const c3::NsId svc = st.intern_ns("svc");
+  st.record_desc(svc, 1, make_record(2, 0));
+  st.store_data(svc, 1, {4, 16, 3});
   for (int i = 0; i < 3; ++i) {
-    const auto desc = st.lookup_desc("svc", 1);
+    const auto desc = st.lookup_desc(svc, 1);
     ASSERT_TRUE(desc.has_value());
     EXPECT_EQ(desc->creator, 2);
     EXPECT_EQ(desc->meta.at("grp"), 7);
-    const auto slice = st.fetch_data("svc", 1);
+    const auto slice = st.fetch_data(svc, 1);
     ASSERT_TRUE(slice.has_value());
     EXPECT_EQ(slice->length, 16);
   }
@@ -88,9 +91,11 @@ TEST(StorageIntegrityTest, IntactRecordsSurviveReads) {
 TEST(StorageIntegrityTest, ScrubAuditsWholeStoreAndEvictsCorruption) {
   Standalone box;
   auto& st = box.storage;
-  for (Value id = 1; id <= 3; ++id) st.record_desc("a", id, make_record(5, 0));
-  st.store_data("a", 1, {0, 8, 1});
-  st.store_data("b", 9, {0, 8, 2});
+  const c3::NsId a = st.intern_ns("a");
+  const c3::NsId b = st.intern_ns("b");
+  for (Value id = 1; id <= 3; ++id) st.record_desc(a, id, make_record(5, 0));
+  st.store_data(a, 1, {0, 8, 1});
+  st.store_data(b, 9, {0, 8, 2});
   ASSERT_TRUE(st.corrupt_desc("a", 2));
   ASSERT_TRUE(st.corrupt_data("b", 9));
 
@@ -98,8 +103,8 @@ TEST(StorageIntegrityTest, ScrubAuditsWholeStoreAndEvictsCorruption) {
   EXPECT_EQ(report.checked, 5u);
   EXPECT_EQ(report.evicted_descs, 1u);
   EXPECT_EQ(report.evicted_data, 1u);
-  EXPECT_EQ(st.desc_count("a"), 2u);
-  EXPECT_EQ(st.data_count("b"), 0u);
+  EXPECT_EQ(st.desc_count(a), 2u);
+  EXPECT_EQ(st.data_count(b), 0u);
 
   // A second pass over the now-clean store finds nothing.
   const auto second = st.scrub();
@@ -114,11 +119,12 @@ TEST(StorageIntegrityTest, EvictionHookObservesEveryEviction) {
   std::vector<std::pair<bool, Value>> seen;
   st.set_eviction_hook(
       [&seen](bool is_data, c3::NsId, Value id) { seen.emplace_back(is_data, id); });
-  st.record_desc("svc", 21, make_record(1, 0));
-  st.store_data("svc", 22, {0, 4, 1});
+  const c3::NsId svc = st.intern_ns("svc");
+  st.record_desc(svc, 21, make_record(1, 0));
+  st.store_data(svc, 22, {0, 4, 1});
   st.corrupt_desc("svc", 21);
   st.corrupt_data("svc", 22);
-  st.lookup_desc("svc", 21);
+  st.lookup_desc(svc, 21);
   st.scrub();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<bool, Value>{false, 21}));
@@ -129,9 +135,10 @@ TEST(StorageIntegrityTest, EvictionAndScrubEmitTraceEvents) {
   Standalone box;
   box.kern.tracer().set_enabled(true);
   auto& st = box.storage;
-  st.record_desc("svc", 33, make_record(1, 0));
+  const c3::NsId svc = st.intern_ns("svc");
+  st.record_desc(svc, 33, make_record(1, 0));
   st.corrupt_desc("svc", 33);
-  st.lookup_desc("svc", 33);
+  st.lookup_desc(svc, 33);
   st.scrub();
 
   int evicts = 0;
@@ -150,24 +157,27 @@ TEST(StorageIntegrityTest, EvictionAndScrubEmitTraceEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: the string read overloads must not intern namespaces.
+// Namespace ids: reads never intern, and interning survives reset_state.
 // ---------------------------------------------------------------------------
 
 TEST(StorageNamespaceTest, ReadPathsDoNotInternUnknownNamespaces) {
   Standalone box;
   auto& st = box.storage;
-  // Reads and erases against a namespace nobody ever wrote must stay pure
-  // lookups: no namespace slot may be created as a side effect.
-  EXPECT_FALSE(st.lookup_desc("ghost", 1).has_value());
-  EXPECT_FALSE(st.fetch_data("ghost", 2).has_value());
-  EXPECT_EQ(st.desc_count("ghost"), 0u);
-  EXPECT_EQ(st.data_count("ghost"), 0u);
-  st.erase_desc("ghost", 1);
-  st.erase_data("ghost", 2);
+  // Reads and erases against a namespace nobody ever interned (find_ns
+  // yields kNoNs) must stay pure lookups: no namespace slot may be created
+  // as a side effect.
+  const c3::NsId ghost = st.find_ns("ghost");
+  ASSERT_EQ(ghost, c3::kNoNs);
+  EXPECT_FALSE(st.lookup_desc(ghost, 1).has_value());
+  EXPECT_FALSE(st.fetch_data(ghost, 2).has_value());
+  EXPECT_EQ(st.desc_count(ghost), 0u);
+  EXPECT_EQ(st.data_count(ghost), 0u);
+  st.erase_desc(ghost, 1);
+  st.erase_data(ghost, 2);
   EXPECT_EQ(st.find_ns("ghost"), c3::kNoNs);
 
-  // Writes *do* intern, and only then does the namespace resolve.
-  st.record_desc("real", 1, make_record(1, 0));
+  // Interning creates the namespace, and only then does it resolve.
+  st.record_desc(st.intern_ns("real"), 1, make_record(1, 0));
   EXPECT_NE(st.find_ns("real"), c3::kNoNs);
   EXPECT_EQ(st.find_ns("ghost"), c3::kNoNs);
 }
@@ -179,7 +189,7 @@ TEST(StorageNamespaceTest, EraseAndCountsAcrossResetState) {
   for (Value id = 1; id <= 4; ++id) st.record_desc(ns, id, make_record(2, 0));
   st.erase_desc(ns, 3);
   EXPECT_EQ(st.desc_count(ns), 3u);
-  EXPECT_EQ(st.desc_count("svc"), 3u);
+  EXPECT_EQ(st.desc_count(st.find_ns("svc")), 3u);
   st.erase_desc(ns, 3);  // Double erase: harmless.
   EXPECT_EQ(st.desc_count(ns), 3u);
 
@@ -189,7 +199,7 @@ TEST(StorageNamespaceTest, EraseAndCountsAcrossResetState) {
   EXPECT_EQ(st.desc_count(ns), 0u);
   EXPECT_EQ(st.find_ns("svc"), ns);
   st.record_desc(ns, 9, make_record(2, 0));
-  EXPECT_EQ(st.desc_count("svc"), 1u);
+  EXPECT_EQ(st.desc_count(st.find_ns("svc")), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,12 +268,13 @@ TEST(StorageRebuildTest, G0IsRematerializedFromClientStubs) {
       id = evt.split(app.id());
       ASSERT_GT(id, 0);
     }
-    ASSERT_EQ(sys.storage().desc_count("evt"), 3u);
+    const c3::NsId evt_ns = sys.storage().find_ns("evt");
+    ASSERT_EQ(sys.storage().desc_count(evt_ns), 3u);
 
     // The substrate itself faults. The micro-reboot wipes its contents; the
     // coordinator must re-publish every creator record from the stubs.
     kern.inject_crash(sys.storage().id());
-    EXPECT_EQ(sys.storage().desc_count("evt"), 3u);
+    EXPECT_EQ(sys.storage().desc_count(evt_ns), 3u);
     EXPECT_EQ(sys.coordinator().storage_rebuilds(), 1);
     EXPECT_FALSE(sys.coordinator().degraded());
 
@@ -357,7 +368,7 @@ TEST(StorageRebuildTest, ChecksumEvictionRaisesDegradedFlag) {
     // Silent corruption of the substrate's memory: the next verified read
     // evicts the record and reports the degradation.
     ASSERT_TRUE(sys.storage().corrupt_data("ramfs", pathid));
-    EXPECT_FALSE(sys.storage().fetch_data("ramfs", pathid).has_value());
+    EXPECT_FALSE(sys.storage().fetch_data(sys.storage().find_ns("ramfs"), pathid).has_value());
     EXPECT_TRUE(sys.coordinator().degraded());
   });
 }

@@ -605,14 +605,14 @@ TEST(TraceDeterminismTest, CrashLoopStressStreamIsSeedDeterministic) {
   const swifi::StressReport second = swifi::run_stress(swifi::StressMode::kCrashLoop, config);
 
   ASSERT_TRUE(first.completed);
-  ASSERT_FALSE(first.trace_normalized.empty());
-  EXPECT_EQ(first.trace_normalized, second.trace_normalized);
+  ASSERT_FALSE(first.trace.normalized.empty());
+  EXPECT_EQ(first.trace.normalized, second.trace.normalized);
   EXPECT_TRUE(first.trace_violations.empty())
       << "crash-loop stress violated recovery invariants: " << first.trace_violations[0];
   // The crash-loop escalates to quarantine and later readmits — both ends of
   // invariant 4 must appear in the stream.
-  EXPECT_NE(first.trace_normalized.find("quarantine"), std::string::npos);
-  EXPECT_NE(first.trace_normalized.find("readmit"), std::string::npos);
+  EXPECT_NE(first.trace.normalized.find("quarantine"), std::string::npos);
+  EXPECT_NE(first.trace.normalized.find("readmit"), std::string::npos);
 }
 
 }  // namespace
