@@ -6,7 +6,6 @@
 
 namespace sg::c3 {
 
-using kernel::Args;
 using kernel::CallCtx;
 using kernel::Value;
 
@@ -26,19 +25,7 @@ constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 }  // namespace
 
 StorageComponent::StorageComponent(kernel::Kernel& kernel, CbufManager& cbufs)
-    : Component(kernel, "storage", /*image_bytes=*/64 * 1024), cbufs_(cbufs) {
-  // Kernel-mediated entry points used by server stubs during recovery, so
-  // storage interactions are visible in invocation accounting. The namespace
-  // travels as a hashed id to keep the ABI word-sized.
-  export_fn("storage_desc_count", [this](CallCtx&, const Args& args) -> Value {
-    SG_ASSERT(args.size() == 1);
-    std::lock_guard<std::mutex> guard(mu_);
-    for (const auto& space : spaces_) {
-      if (hash_id(space.name) == args[0]) return static_cast<Value>(space.descs.size());
-    }
-    return 0;
-  });
-}
+    : Component(kernel, "storage", /*image_bytes=*/64 * 1024), cbufs_(cbufs) {}
 
 NsId StorageComponent::intern_ns(const std::string& ns) {
   std::lock_guard<std::mutex> guard(mu_);

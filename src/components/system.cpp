@@ -127,8 +127,8 @@ System::System(SystemConfig config) : config_(std::move(config)) {
   if (config_.enforce_caps) {
     // Grant exactly the system-internal invocation edges this constructor
     // wired: blocking services call into the scheduler (including the
-    // scheduler's own T0 wakeup adapter), and everything may consult the
-    // storage component's exported reflection entry points.
+    // scheduler's own T0 wakeup adapter). Services reach storage by direct
+    // calls, not kernel invocations, so they need no capability to it.
     kernel_->set_default_allow(false);
     for (const kernel::Component* client :
          {static_cast<kernel::Component*>(lock_.get()),
@@ -136,9 +136,6 @@ System::System(SystemConfig config) : config_(std::move(config)) {
           static_cast<kernel::Component*>(tmr_.get()),
           static_cast<kernel::Component*>(sched_.get())}) {
       kernel_->grant_cap(client->id(), sched_->id());
-    }
-    for (const std::string& service : service_names()) {
-      kernel_->grant_cap(service_component(service).id(), storage_->id());
     }
   }
 }

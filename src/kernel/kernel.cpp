@@ -275,6 +275,7 @@ void Kernel::occ_release_locked(CompId comp, ThreadId me) {
     if (tp->state == ThreadState::kBlocked && tp->occ_wait == comp) make_ready_locked(*tp);
   }
   kick_idle_cores_locked();
+  cv_.notify_all();  // The root-context reboot seize waits on cv_ for a free slot.
 }
 
 void Kernel::clear_fault_pending_locked(CompId comp) {
@@ -378,6 +379,7 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
       }
       ++running_now_;
       if (running_now_ > max_concurrent_) max_concurrent_ = running_now_;
+      next->cv.notify_one();  // The one wake of this switch.
       return true;
     }
     if (!allow_idle_steps) return false;
@@ -436,7 +438,7 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
       }
     }
     kick_idle_cores_locked(core);
-    cv_.notify_all();
+    wake_all_locked();
   }
 }
 
@@ -794,9 +796,8 @@ void Kernel::reschedule_and_wait_locked(std::unique_lock<std::mutex>& lock, SimT
   dispatch_core_locked(core, /*allow_idle_steps=*/true);
   sched_incumbent_ = kNoThread;  // Valid for exactly one pick.
   kick_idle_cores_locked(core);
-  cv_.notify_all();
   if (self.state == ThreadState::kExited) return;
-  cv_.wait(lock, [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
+  self.cv.wait(lock, [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
   if (shutdown_) throw ShutdownSignal{};  // Scheduled one last time to unwind.
 }
 
@@ -819,7 +820,7 @@ void Kernel::trampoline(SimThread& t) {
   }
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    cv_.wait(lock, [&] {
+    t.cv.wait(lock, [&] {
       return (running_ && t.state == ThreadState::kRunning && t.running_on >= 0) || shutdown_;
     });
     if (shutdown_ && !(t.state == ThreadState::kRunning && t.running_on >= 0)) {
@@ -875,7 +876,12 @@ void Kernel::record_crash(const SystemCrash& crash) {
     }
   }
   kick_idle_cores_locked();
+  wake_all_locked();
+}
+
+void Kernel::wake_all_locked() {
   cv_.notify_all();
+  for (const auto& tp : threads_) tp->cv.notify_one();
 }
 
 void Kernel::run() {
@@ -886,7 +892,6 @@ void Kernel::run() {
   running_now_ = 0;
   max_concurrent_ = 0;
   for (int c = 0; c < ncores_; ++c) dispatch_core_locked(c, /*allow_idle_steps=*/c == 0);
-  cv_.notify_all();
   cv_.wait(lock, [&] {
     return std::all_of(threads_.begin(), threads_.end(),
                        [](const auto& tp) { return tp->state == ThreadState::kExited; });
@@ -925,7 +930,7 @@ void Kernel::shutdown() {
     }
   }
   kick_idle_cores_locked();
-  cv_.notify_all();
+  wake_all_locked();
 }
 
 ThreadState Kernel::thread_state(ThreadId id) const {

@@ -85,21 +85,23 @@ class SchedulePolicy {
 /// fault vectoring to the booter, and reflection over kernel state.
 ///
 /// Concurrency model (docs/KERNEL.md): each simulated thread is a host
-/// std::thread. With cores() == 1 (the default) a condition-variable handoff
-/// guarantees exactly one simulated thread runs at any instant (single-core,
-/// like the paper's evaluation), so component state needs no locking and the
-/// schedule is deterministic. With cores() > 1 up to N simulated threads run
-/// genuinely in parallel, one per simulated core; per-component occupancy
-/// serializes threads *running* inside the same component (matching the
-/// single-core guarantee that handler code between scheduling points is never
-/// interleaved), while threads in independent components proceed
-/// concurrently. Recovery (fault vectoring, micro-reboots, supervisor
-/// policy) is scoped to per-fault *recovery domains* — the dependency
-/// closure of the faulting component — so faults in disjoint closures are
-/// contained and micro-rebooted concurrently on different cores while
-/// components outside every active domain keep serving. Overlapping
-/// closures, group reboots, quarantines and storage rebuilds escalate to a
-/// whole-machine acquisition (the pre-domain global token semantics).
+/// std::thread parked on its own condition variable, which a dispatch
+/// signals, so a switch wakes only the thread it dispatched. With
+/// cores() == 1 (the default) that handoff guarantees exactly one simulated
+/// thread runs at any instant (single-core, like the paper's evaluation), so
+/// component state needs no locking and the schedule is deterministic. With
+/// cores() > 1 up to N simulated threads run genuinely in parallel, one per
+/// simulated core; per-component occupancy serializes threads *running*
+/// inside the same component (matching the single-core guarantee that
+/// handler code between scheduling points is never interleaved), while
+/// threads in independent components proceed concurrently. Recovery (fault
+/// vectoring, micro-reboots, supervisor policy) is scoped to per-fault
+/// *recovery domains* — the dependency closure of the faulting component —
+/// so faults in disjoint closures are contained and micro-rebooted
+/// concurrently on different cores while components outside every active
+/// domain keep serving. Overlapping closures, group reboots, quarantines and
+/// storage rebuilds escalate to a whole-machine acquisition (the pre-domain
+/// global token semantics).
 class Kernel {
  public:
   Kernel();
@@ -405,6 +407,9 @@ class Kernel {
     /// handoff / reboot seize); the dispatcher acquires it on our behalf.
     CompId occ_wait = kNoComp;
     bool token_wait = false;  ///< Blocked acquiring or escalating a recovery domain.
+    /// The host thread's only wait: notified when a dispatch makes this
+    /// thread kRunning, and at crash, shutdown or deadlock.
+    std::condition_variable cv;
     std::thread host;
   };
 
@@ -546,6 +551,9 @@ class Kernel {
   /// Readies every token_wait thread (and notifies root waiters) so parked
   /// domain/machine waiters re-evaluate their grant conditions.
   void wake_token_waiters_locked();
+  /// Crash, shutdown or deadlock: notifies cv_ and every simulated thread's
+  /// own wait, so threads still parked before their first dispatch exit.
+  void wake_all_locked();
   /// Blocks the calling thread while `server` is held (supervisor backoff);
   /// throws QuarantinedError if it is quarantined. Runs before the server
   /// frame is pushed. Returns false if the server micro-rebooted while the
@@ -559,6 +567,9 @@ class Kernel {
                   std::int64_t c, std::int64_t d);
 
   mutable std::mutex mtx_;
+  /// Waits of contexts that are not simulated threads: run() waiting for the
+  /// last exit, and the root reboot seize, domain and machine waits. A
+  /// switch never notifies it (docs/KERNEL.md, "Handoff").
   std::condition_variable cv_;
 
   std::vector<CompSlot> comps_;  ///< comps_[id - 1] is component `id`'s slot.

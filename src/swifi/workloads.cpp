@@ -1,5 +1,7 @@
 #include "swifi/workloads.hpp"
 
+#include <atomic>
+
 #include "c3/storage.hpp"
 #include "util/assert.hpp"
 
@@ -20,8 +22,10 @@ void install_sched(System& sys, WorkloadState& state) {
   auto tid_b = std::make_shared<Value>(0);
   state.keepalive.insert(state.keepalive.end(), {sched, tid_a, tid_b});
 
-  // cores>1: the partner's setup may still be in flight on another core when
-  // this side first needs its id (the single-runner kernel guarantees ping's
+  // Both threads run the one shared stub and ids, so both live in `app`: at
+  // cores>1 its occupancy serializes that code as the single runner does.
+  // The partner's setup may still be in flight on another core when this
+  // side first needs its id (the single-runner kernel guarantees ping's
   // setup completes first by priority order). The spin is free at cores=1 --
   // the id is already set, so no extra yields and the trace is unchanged.
   auto await_peer = [&kern, &state](Value& peer) {
@@ -37,7 +41,8 @@ void install_sched(System& sys, WorkloadState& state) {
           sched->wakeup(app.id(), *tid_b);
           if (++state.iterations >= state.target_iterations) break;
         }
-      }));
+      },
+      app.id()));
   state.victims.push_back(
       kern.thd_create("pong", 11, [&kern, &app, &state, sched, tid_a, tid_b, await_peer] {
         *tid_b = sched->setup(app.id(), 11);
@@ -48,7 +53,8 @@ void install_sched(System& sys, WorkloadState& state) {
           if (state.done()) break;
           sched->blk(app.id(), *tid_b);
         }
-      }));
+      },
+      app.id()));
 }
 
 // --- MM: pages granted, aliased into another component, revoked ------------
@@ -117,6 +123,7 @@ void install_lock(System& sys, WorkloadState& state) {
   auto lock_id = std::make_shared<Value>(0);
   auto in_critical = std::make_shared<int>(0);
   state.keepalive.insert(state.keepalive.end(), {lock, lock_id, in_critical});
+  // Like ping/pong, holder and contender share a stub and live in `app`.
 
   auto critical_section = [&kern, &state, in_critical] {
     ++*in_critical;
@@ -136,7 +143,8 @@ void install_lock(System& sys, WorkloadState& state) {
           ++state.iterations;
           sys.kernel().yield();  // Fairness: let the contender win the lock.
         }
-      }));
+      },
+      app.id()));
   state.victims.push_back(
       kern.thd_create("contender", 10, [&sys, &app, &state, lock, lock_id, critical_section] {
         sys.kernel().yield();  // Let the holder allocate first.
@@ -150,7 +158,8 @@ void install_lock(System& sys, WorkloadState& state) {
           if (lock->release(app.id(), *lock_id) != kernel::kOk) state.fail("contend release");
           sys.kernel().yield();
         }
-      }));
+      },
+      app.id()));
 }
 
 // --- Event: one waits, the other triggers from a different component -------
@@ -159,7 +168,9 @@ void install_evt(System& sys, WorkloadState& state) {
   auto& waiter_comp = sys.create_app("wl-evt-w");
   auto& trigger_comp = sys.create_app("wl-evt-t");
   auto& kern = sys.kernel();
-  auto evtid = std::make_shared<Value>(0);
+  // The waiter and the trigger sit in different components on purpose, so at
+  // cores>1 occupancy does not serialize them: the id they share is atomic.
+  auto evtid = std::make_shared<std::atomic<Value>>(0);
   state.keepalive.push_back(evtid);
 
   state.victims.push_back(kern.thd_create("waiter", 10, [&sys, &waiter_comp, &state, evtid] {

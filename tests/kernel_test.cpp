@@ -1,3 +1,7 @@
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "components/system.hpp"
@@ -206,6 +210,66 @@ TEST(KernelTest, ShutdownUnwindsAllThreads) {
   kern.run();  // Must terminate; blocked thread unwinds without running on.
   EXPECT_EQ(progressed, 0);
 }
+
+// Threads that have never been dispatched are still parked in the
+// trampoline when another thread crashes the machine: run() must rethrow the
+// crash once every one of them has exited.
+TEST(KernelTest, CrashReturnsWhileThreadsWaitToStart) {
+  kernel::Kernel kern;
+  int progressed = 0;
+  std::vector<kernel::ThreadId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(kern.thd_create("late" + std::to_string(i), 20, [&] {
+      kern.yield();  // Unwinds: the machine is already down.
+      ++progressed;
+    }));
+  }
+  ids.push_back(kern.thd_create("crasher", 5, [] {
+    throw kernel::SystemCrash(kernel::CrashKind::kHang, kernel::kNoComp, "test crash");
+  }));
+  EXPECT_THROW(kern.run(), kernel::SystemCrash);
+  EXPECT_EQ(progressed, 0);
+  for (const kernel::ThreadId id : ids) {
+    EXPECT_EQ(kern.thread_state(id), kernel::ThreadState::kExited) << "thread " << id;
+  }
+}
+
+// Eight equal-priority threads pass a token round a ring with
+// block_current/wakeup. Each handoff must reach exactly the next thread, so
+// the visits come out 0..7 in every lap; at cores>1 the woken thread is
+// dispatched onto an idle core by the waker.
+class TokenRing : public ::testing::TestWithParam<int> {};
+
+TEST_P(TokenRing, EveryHandoffReachesExactlyItsTarget) {
+  constexpr int kThreads = 8;
+  constexpr int kLaps = 200;
+  kernel::Kernel kern;
+  kern.set_cores(GetParam());
+  std::atomic<int> token{0};
+  std::vector<int> visits;
+  std::vector<kernel::ThreadId> ids(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    ids[static_cast<std::size_t>(i)] = kern.thd_create("ring" + std::to_string(i), 10, [&, i] {
+      const int next = (i + 1) % kThreads;
+      for (int lap = 0; lap < kLaps; ++lap) {
+        while (token.load() != i) kern.block_current();
+        visits.push_back(i);
+        token.store(next);
+        kern.wakeup(ids[static_cast<std::size_t>(next)]);
+      }
+    });
+  }
+  kern.run();
+  ASSERT_EQ(visits.size(), static_cast<std::size_t>(kThreads * kLaps));
+  for (std::size_t v = 0; v < visits.size(); ++v) {
+    ASSERT_EQ(visits[v], static_cast<int>(v % kThreads)) << "visit " << v;
+  }
+  for (const kernel::ThreadId id : ids) {
+    EXPECT_EQ(kern.thread_state(id), kernel::ThreadState::kExited);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, TokenRing, ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace sg

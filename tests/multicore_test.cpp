@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,14 @@ class BurnComponent final : public kernel::Component {
 TEST(MultiCoreConfigTest, DefaultIsSingleRunner) {
   kernel::Kernel kern;
   EXPECT_EQ(kern.cores(), 1);
+  // SystemConfig reads SG_CORES, which a four-core test pass sets: check the
+  // default with it unset, then restore the caller's value.
+  const char* env = std::getenv("SG_CORES");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  ::unsetenv("SG_CORES");
   components::SystemConfig config;
+  if (saved) ::setenv("SG_CORES", saved->c_str(), 1);
   EXPECT_EQ(config.cores, 1) << "SG_CORES unset must preserve the single-runner kernel";
 }
 
