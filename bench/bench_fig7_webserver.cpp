@@ -6,7 +6,6 @@
 // (e)/(f) the FT variants with a crash injected into a rotating system
 // component periodically (the red crosses of Fig 7). Each variant runs
 // SG_REPS times; we report mean (stdev) like the paper's 20 repetitions.
-// Set SG_PIN_CPU=1 for low-noise numbers (single-core, as in the paper).
 //
 // Open loop (--open-loop): the Fig 7-at-scale experiment. A seeded Poisson
 // arrival process on the virtual clock offers --rate requests/s for
@@ -234,7 +233,6 @@ int open_loop_main(int argc, char** argv, bool emit_json, int requests,
 
 int main(int argc, char** argv) {
   const bool emit_json = sg::bench::has_flag(argc, argv, "--json");
-  if (std::getenv("SG_PIN_CPU") == nullptr) setenv("SG_PIN_CPU", "1", 0);
   int requests = 20000;
   // The paper crashes one system component every 10 s of a ~17k req/s run,
   // i.e. roughly every 170k requests; our runs are shorter, so we scale the

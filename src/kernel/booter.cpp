@@ -8,7 +8,7 @@ namespace sg::kernel {
 
 Booter::Booter(Kernel& kernel) : Component(kernel, "booter", /*image_bytes=*/4096) {
   kernel.set_micro_reboot([this](Component& comp) { micro_reboot(comp); });
-  export_fn("booter_reboots", [this](CallCtx&, const Args&) -> Value { return reboots_; });
+  export_fn("booter_reboots", [this](CallCtx&, const Args&) -> Value { return reboots(); });
 }
 
 void Booter::capture_image(const Component& comp) {
@@ -36,8 +36,8 @@ void Booter::micro_reboot(Component& comp) {
   }
   Image& image = it->second;
   std::memcpy(image.live.data(), image.pristine.data(), image.pristine.size());
-  bytes_copied_ += image.pristine.size();
-  ++reboots_;
+  bytes_copied_.fetch_add(image.pristine.size(), std::memory_order_relaxed);
+  reboots_.fetch_add(1, std::memory_order_relaxed);
   SG_DEBUG("booter", "micro-rebooted comp " << comp.id() << " (" << comp.name() << "), "
                                             << image.pristine.size() << " bytes");
   comp.reset_state();
@@ -50,8 +50,8 @@ void Booter::reset_state() {
   // cbuf manager, §II-E); it is never the target of injected faults. A
   // reboot of the booter would be a full system reboot.
   images_.clear();
-  reboots_ = 0;
-  bytes_copied_ = 0;
+  reboots_.store(0, std::memory_order_relaxed);
+  bytes_copied_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sg::kernel

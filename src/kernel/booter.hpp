@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
@@ -38,9 +39,9 @@ class Booter final : public Component {
   /// Performs the micro-reboot. Installed into the kernel by the ctor.
   void micro_reboot(Component& comp);
 
-  int reboots() const { return reboots_; }
+  int reboots() const { return reboots_.load(std::memory_order_relaxed); }
   int captures() const { return captures_; }
-  std::size_t bytes_copied() const { return bytes_copied_; }
+  std::size_t bytes_copied() const { return bytes_copied_.load(std::memory_order_relaxed); }
 
   void reset_state() override;
 
@@ -53,9 +54,11 @@ class Booter final : public Component {
   void do_capture(const Component& comp);
 
   std::unordered_map<CompId, Image> images_;
-  int reboots_ = 0;
+  // Statistics only: concurrent micro-reboots on different cores bump them
+  // while the booter_reboots export reads them.
+  std::atomic<int> reboots_{0};
   int captures_ = 0;
-  std::size_t bytes_copied_ = 0;
+  std::atomic<std::size_t> bytes_copied_{0};
 };
 
 }  // namespace sg::kernel

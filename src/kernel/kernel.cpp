@@ -1,10 +1,6 @@
 #include "kernel/kernel.hpp"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -13,15 +9,16 @@
 namespace sg::kernel {
 
 namespace {
-/// Which simulated thread this host thread embodies (kNoThread for the main
+/// Which simulated thread this host thread is running (kNoThread for the main
 /// thread and other non-simulated contexts).
 thread_local ThreadId tls_self = kNoThread;
 
 /// The kernel that sim thread belongs to, plus a direct pointer to its
-/// SimThread record. A host thread embodies at most one simulated thread of
-/// one kernel for its whole life, so a single TLS trio suffices; tagging the
-/// kernel keeps self-identification correct when a sim thread of one kernel
-/// calls into another (fleet replicas, campaign workers).
+/// SimThread record. A host thread runs one simulated thread at a time: a
+/// cores > 1 host thread embodies one for its whole life, and at cores == 1
+/// every fiber switch rewrites the trio. Tagging the kernel keeps
+/// self-identification correct when a sim thread of one kernel calls into
+/// another (fleet replicas, campaign workers).
 thread_local const void* tls_kernel = nullptr;
 thread_local void* tls_thread = nullptr;
 
@@ -184,8 +181,19 @@ ThreadId Kernel::thd_create(const std::string& name, Priority prio, std::functio
   t.entry = std::move(entry);
   make_ready_locked(t);
   kick_idle_cores_locked();  // Mid-run creation at cores>1: use an idle core.
-  t.host = std::thread([this, &t] { trampoline(t); });
+  // cores == 1 makes the thread's fiber at its first dispatch; run() starts
+  // the host threads of threads created before it.
+  if (running_ && ncores_ > 1) start_host_thread_locked(t);
   return id;
+}
+
+void Kernel::start_host_thread_locked(SimThread& t) {
+  t.host = std::thread([this, &t] {
+    tls_self = t.id;
+    tls_kernel = this;
+    tls_thread = &t;
+    trampoline(t);
+  });
 }
 
 void Kernel::set_cores(int n) {
@@ -379,7 +387,9 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
       }
       ++running_now_;
       if (running_now_ > max_concurrent_) max_concurrent_ = running_now_;
-      next->cv.notify_one();  // The one wake of this switch.
+      // cores > 1: the one wake of this switch. At cores == 1 the switching
+      // context hands the host thread over itself.
+      if (ncores_ > 1) next->cv.notify_one();
       return true;
     }
     if (!allow_idle_steps) return false;
@@ -795,42 +805,55 @@ void Kernel::reschedule_and_wait_locked(std::unique_lock<std::mutex>& lock, SimT
   undispatch_locked(self);
   dispatch_core_locked(core, /*allow_idle_steps=*/true);
   sched_incumbent_ = kNoThread;  // Valid for exactly one pick.
-  kick_idle_cores_locked(core);
-  if (self.state == ThreadState::kExited) return;
-  self.cv.wait(lock, [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
+  if (ncores_ == 1) {
+    switch_fiber_locked(lock, *self.fiber, /*exiting=*/self.state == ThreadState::kExited);
+  } else {
+    kick_idle_cores_locked(core);
+    if (self.state == ThreadState::kExited) return;
+    self.cv.wait(lock,
+                 [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
+  }
   if (shutdown_) throw ShutdownSignal{};  // Scheduled one last time to unwind.
 }
 
-void Kernel::trampoline(SimThread& t) {
-  tls_self = t.id;
-  tls_kernel = this;
-  tls_thread = &t;
-  // The paper's evaluation runs on a single enabled core; SG_PIN_CPU=1 pins
-  // every simulated thread to one host core, which both matches that setup
-  // and removes cross-core handoff noise from wall-clock measurements.
-  static const bool pin = []() {
-    const char* env = std::getenv("SG_PIN_CPU");
-    return env != nullptr && env[0] == '1';
-  }();
-  if (pin) {
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    CPU_SET(0, &cpus);
-    pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus);
+void Kernel::switch_fiber_locked(std::unique_lock<std::mutex>& lock, Fiber& from, bool exiting) {
+  Fiber* to = &root_->fiber;
+  const ThreadId next_id = cores_[0].running;
+  if (next_id == kNoThread) {
+    tls_self = root_->self;
+    tls_kernel = root_->kernel;
+    tls_thread = root_->thread;
+  } else {
+    SimThread& next = thd(next_id);
+    if (!next.fiber) next.fiber = std::make_unique<Fiber>([this, &next] { trampoline(next); });
+    to = next.fiber.get();
+    tls_self = next.id;
+    tls_kernel = this;
+    tls_thread = &next;
   }
+  if (to == &from) return;  // The pick kept the caller on the core.
+  // Each context unlocks only what it locked: the resumed side retakes mtx_
+  // where its own switch returns (or at a fresh fiber's first lock).
+  lock.unlock();
+  if (exiting) from.exit_to(*to);
+  from.switch_to(*to);
+  lock.lock();
+}
+
+void Kernel::trampoline(SimThread& t) {
+  bool run_entry = false;
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    t.cv.wait(lock, [&] {
-      return (running_ && t.state == ThreadState::kRunning && t.running_on >= 0) || shutdown_;
-    });
-    if (shutdown_ && !(t.state == ThreadState::kRunning && t.running_on >= 0)) {
-      t.state = ThreadState::kExited;
-      cv_.notify_all();
-      return;
+    if (ncores_ > 1) {
+      // A fiber starts at its first dispatch; a host thread waits for it.
+      t.cv.wait(lock, [&] {
+        return (running_ && t.state == ThreadState::kRunning && t.running_on >= 0) || shutdown_;
+      });
     }
+    run_entry = !shutdown_;
   }
   try {
-    t.entry();
+    if (run_entry) t.entry();
   } catch (const ShutdownSignal&) {
     // Orderly unwind.
   } catch (const SystemCrash& crash) {
@@ -854,13 +877,14 @@ void Kernel::trampoline(SimThread& t) {
     record_crash(SystemCrash(CrashKind::kQuarantined, quarantined.target(),
                              "QuarantinedError escaped a thread entry"));
   }
-  // Exit path: hand the core onward.
+  // Exit path: hand the core onward. A fiber leaves for good here; a host
+  // thread returns once the core is handed on.
   std::unique_lock<std::mutex> lock(mtx_);
   t.state = ThreadState::kExited;
   t.stack.clear();
   if (t.running_on >= 0) {
     try {
-      reschedule_and_wait_locked(lock, t);  // Returns immediately: state == kExited.
+      reschedule_and_wait_locked(lock, t);
     } catch (const ShutdownSignal&) {
     }
   }
@@ -881,7 +905,28 @@ void Kernel::record_crash(const SystemCrash& crash) {
 
 void Kernel::wake_all_locked() {
   cv_.notify_all();
+  if (ncores_ == 1) return;  // Fibers wait on nothing: a dispatch resumes them.
   for (const auto& tp : threads_) tp->cv.notify_one();
+}
+
+bool Kernel::all_exited_locked() const {
+  return std::all_of(threads_.begin(), threads_.end(),
+                     [](const auto& tp) { return tp->state == ThreadState::kExited; });
+}
+
+void Kernel::run_fibers_locked(std::unique_lock<std::mutex>& lock) {
+  Root root{Fiber{}, tls_self, tls_kernel, tls_thread};
+  root_ = &root;
+  // The root gets the host thread back only when core 0 idles: after the
+  // last exit, or if a shutdown leaves threads blocked with nothing ready.
+  while (!all_exited_locked()) {
+    if (cores_[0].running == kNoThread && !dispatch_core_locked(0, /*allow_idle_steps=*/true)) {
+      cv_.wait(lock);
+      continue;
+    }
+    switch_fiber_locked(lock, root.fiber, /*exiting=*/false);
+  }
+  root_ = nullptr;
 }
 
 void Kernel::run() {
@@ -891,17 +936,22 @@ void Kernel::run() {
   running_ = true;
   running_now_ = 0;
   max_concurrent_ = 0;
-  for (int c = 0; c < ncores_; ++c) dispatch_core_locked(c, /*allow_idle_steps=*/c == 0);
-  cv_.wait(lock, [&] {
-    return std::all_of(threads_.begin(), threads_.end(),
-                       [](const auto& tp) { return tp->state == ThreadState::kExited; });
-  });
+  if (ncores_ == 1) {
+    run_fibers_locked(lock);
+  } else {
+    for (const auto& tp : threads_) {
+      if (tp->state != ThreadState::kExited) start_host_thread_locked(*tp);
+    }
+    for (int c = 0; c < ncores_; ++c) dispatch_core_locked(c, /*allow_idle_steps=*/c == 0);
+    cv_.wait(lock, [&] { return all_exited_locked(); });
+  }
   running_ = false;
   lock.unlock();
   for (const auto& tp : threads_) {
     if (tp->host.joinable()) tp->host.join();
   }
   lock.lock();
+  for (const auto& tp : threads_) tp->fiber.reset();  // Stacks back to this host thread's pool.
   // Crash teardown can leave occupancy / domain remnants; reset so reflection
   // after run() (tests, campaign classification) sees a quiesced machine.
   for (CompSlot& s : comps_) {

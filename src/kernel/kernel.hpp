@@ -14,6 +14,7 @@
 #include "kernel/clock.hpp"
 #include "kernel/component.hpp"
 #include "kernel/fault.hpp"
+#include "kernel/fiber.hpp"
 #include "kernel/registers.hpp"
 #include "kernel/types.hpp"
 #include "trace/trace.hpp"
@@ -84,13 +85,14 @@ class SchedulePolicy {
 /// capability-mediated synchronous invocations (thread migration), fail-stop
 /// fault vectoring to the booter, and reflection over kernel state.
 ///
-/// Concurrency model (docs/KERNEL.md): each simulated thread is a host
-/// std::thread parked on its own condition variable, which a dispatch
-/// signals, so a switch wakes only the thread it dispatched. With
-/// cores() == 1 (the default) that handoff guarantees exactly one simulated
-/// thread runs at any instant (single-core, like the paper's evaluation), so
-/// component state needs no locking and the schedule is deterministic. With
-/// cores() > 1 up to N simulated threads run genuinely in parallel, one per
+/// Concurrency model (docs/KERNEL.md): with cores() == 1 (the default) each
+/// simulated thread is a Fiber on the host thread that called run(), and a
+/// switch hands that host thread straight to the thread the dispatch picked.
+/// Exactly one simulated thread runs at any instant (single-core, like the
+/// paper's evaluation), so component state needs no locking and the
+/// schedule is deterministic. With cores() > 1 each simulated thread is a
+/// host std::thread parked on its own condition variable, which a dispatch
+/// signals, and up to N simulated threads run genuinely in parallel, one per
 /// simulated core; per-component occupancy serializes threads *running*
 /// inside the same component (matching the single-core guarantee that
 /// handler code between scheduling points is never interleaved), while
@@ -132,6 +134,7 @@ class Kernel {
 
   /// Runs the simulation: dispatches the highest-priority ready thread and
   /// returns when every thread has exited. Rethrows a recorded SystemCrash.
+  /// At cores() == 1 every simulated thread runs on the calling host thread.
   void run();
 
   /// Requests an orderly shutdown: each thread unwinds (via ShutdownSignal)
@@ -407,10 +410,22 @@ class Kernel {
     /// handoff / reboot seize); the dispatcher acquires it on our behalf.
     CompId occ_wait = kNoComp;
     bool token_wait = false;  ///< Blocked acquiring or escalating a recovery domain.
-    /// The host thread's only wait: notified when a dispatch makes this
-    /// thread kRunning, and at crash, shutdown or deadlock.
+    /// cores == 1: the thread's context, made at its first dispatch and
+    /// freed when run() returns.
+    std::unique_ptr<Fiber> fiber;
+    /// cores > 1: the host thread's only wait, notified when a dispatch
+    /// makes this thread kRunning, and at crash, shutdown or deadlock.
     std::condition_variable cv;
     std::thread host;
+  };
+
+  /// cores == 1: the context that called run(), which gets the host thread
+  /// back whenever core 0 idles, and that context's thread-local identity.
+  struct Root {
+    Fiber fiber;
+    ThreadId self = kNoThread;
+    const void* kernel = nullptr;
+    void* thread = nullptr;
   };
 
   /// One simulated core: the dispatch slot plus stealing accounting. All
@@ -509,8 +524,19 @@ class Kernel {
   /// Hands the CPU to the best ready thread and waits until this thread is
   /// scheduled again (or shutdown). Caller must have set its own state.
   void reschedule_and_wait_locked(std::unique_lock<std::mutex>& lock, SimThread& self);
+  /// cores == 1: gives the host thread to core 0's thread, or to run()'s
+  /// root when the core is idle, and returns when `from` is resumed. mtx_
+  /// is dropped across the switch. With `exiting`, never returns.
+  void switch_fiber_locked(std::unique_lock<std::mutex>& lock, Fiber& from, bool exiting);
+  /// cores == 1: run()'s root loop, until every thread has exited.
+  void run_fibers_locked(std::unique_lock<std::mutex>& lock);
+  bool all_exited_locked() const;
+  /// cores > 1: starts `t`'s host thread.
+  void start_host_thread_locked(SimThread& t);
   void advance_time_to_next_deadline_locked();
   void wake_expired_timers_locked();
+  /// A simulated thread's whole life: its entry (skipped if the machine is
+  /// already shutting down at its first dispatch), then the exit handoff.
   void trampoline(SimThread& t);
   /// Parks `self` until virtual time `until` WITHOUT consuming a wakeup: one
   /// banked before the park, or a genuine one delivered during it, is
@@ -551,8 +577,9 @@ class Kernel {
   /// Readies every token_wait thread (and notifies root waiters) so parked
   /// domain/machine waiters re-evaluate their grant conditions.
   void wake_token_waiters_locked();
-  /// Crash, shutdown or deadlock: notifies cv_ and every simulated thread's
-  /// own wait, so threads still parked before their first dispatch exit.
+  /// Crash, shutdown or deadlock: notifies cv_ and, at cores > 1, every
+  /// simulated thread's own wait, so threads still parked before their first
+  /// dispatch exit.
   void wake_all_locked();
   /// Blocks the calling thread while `server` is held (supervisor backoff);
   /// throws QuarantinedError if it is quarantined. Runs before the server
@@ -568,9 +595,11 @@ class Kernel {
 
   mutable std::mutex mtx_;
   /// Waits of contexts that are not simulated threads: run() waiting for the
-  /// last exit, and the root reboot seize, domain and machine waits. A
-  /// switch never notifies it (docs/KERNEL.md, "Handoff").
+  /// last exit (at cores == 1 only while a shutdown leaves threads blocked
+  /// with nothing ready), and the root reboot seize, domain and machine
+  /// waits. A switch never notifies it (docs/KERNEL.md, "Handoff").
   std::condition_variable cv_;
+  Root* root_ = nullptr;  ///< Set while run() drives fibers (cores == 1).
 
   std::vector<CompSlot> comps_;  ///< comps_[id - 1] is component `id`'s slot.
 

@@ -1,5 +1,8 @@
 #include <atomic>
+#include <exception>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +13,7 @@
 #include "kernel/fault.hpp"
 #include "kernel/kernel.hpp"
 #include "tests/test_util.hpp"
+#include "util/parallel.hpp"
 
 namespace sg {
 namespace {
@@ -232,6 +236,72 @@ TEST(KernelTest, CrashReturnsWhileThreadsWaitToStart) {
   for (const kernel::ThreadId id : ids) {
     EXPECT_EQ(kern.thread_state(id), kernel::ThreadState::kExited) << "thread " << id;
   }
+}
+
+// A handler may switch away inside its catch block (StorageComponent runs a
+// whole recovery inside one). The caught-exception state belongs to the
+// simulated thread: when `first` resumes, std::current_exception() and a
+// bare throw must still name its own exception, not the one `second` caught
+// in the meantime.
+TEST(KernelTest, CatchHandlerSurvivesASwitch) {
+  kernel::Kernel kern;
+  std::string current;
+  std::string rethrown;
+  const kernel::ThreadId first = kern.thd_create("first", 10, [&] {
+    try {
+      throw std::runtime_error("first");
+    } catch (const std::exception&) {
+      kern.block_current();
+      try {
+        std::rethrow_exception(std::current_exception());
+      } catch (const std::exception& e) {
+        current = e.what();
+      }
+      try {
+        throw;
+      } catch (const std::exception& e) {
+        rethrown = e.what();
+      }
+    }
+  });
+  kern.thd_create("second", 10, [&] {
+    try {
+      throw std::logic_error("second");
+    } catch (const std::exception&) {
+      kern.wakeup(first);
+      kern.yield();
+    }
+  });
+  kern.run();
+  EXPECT_EQ(current, "first");
+  EXPECT_EQ(rethrown, "first");
+}
+
+// At cores == 1 a System's simulated threads run on the host thread that
+// called run(). Twelve Kernels run back to back on four workers, so each
+// worker's Kernels also reuse one another's fiber stacks.
+TEST(KernelTest, CoresOneRunsOnTheCallersHostThread) {
+  constexpr std::size_t kKernels = 12;
+  constexpr int kThreads = 3;
+  constexpr int kSteps = 5;
+  std::atomic<int> steps{0};
+  std::atomic<int> foreign{0};
+  parallel_for(kKernels, /*workers=*/4, [&](int, std::size_t) {
+    const std::thread::id caller = std::this_thread::get_id();
+    kernel::Kernel kern;
+    for (int t = 0; t < kThreads; ++t) {
+      kern.thd_create("stepper" + std::to_string(t), 10, [&] {
+        for (int step = 0; step < kSteps; ++step) {
+          steps.fetch_add(1);
+          if (std::this_thread::get_id() != caller) foreign.fetch_add(1);
+          kern.yield();
+        }
+      });
+    }
+    kern.run();
+  });
+  EXPECT_EQ(steps.load(), static_cast<int>(kKernels) * kThreads * kSteps);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 // Eight equal-priority threads pass a token round a ring with
